@@ -1,7 +1,7 @@
 #include "codegen/emit.h"
 
 #include "regalloc/queue_alloc.h"
-#include "support/diag.h"
+#include "support/strings.h"
 
 namespace dms {
 
@@ -22,56 +22,62 @@ queueNotes(const Ddg &ddg, const QueueAllocation *queues)
     for (const Lifetime &lt : queues->lifetimes) {
         std::string &n = notes[static_cast<size_t>(lt.def)];
         if (lt.location == QueueLocation::Lrf) {
-            n += strfmt(">c%d.q%d", lt.cluster, lt.queueIndex);
+            append(n, ">c", lt.cluster, ".q", lt.queueIndex);
         } else {
             const InterClusterLink &link =
                 queues->links[static_cast<size_t>(lt.link)];
-            n += strfmt(">c%d-c%d.q%d", link.src, link.dst,
-                        lt.queueIndex);
+            append(n, ">c", link.src, "-c", link.dst, ".q",
+                   lt.queueIndex);
         }
     }
     return notes;
 }
 
-std::string
-slotText(const Ddg &ddg, const KernelSlot &s, int iteration,
-         const std::vector<std::string> &notes)
+/** One slot: "[i<iteration>]", or "(s<stage>)" when @p iteration
+ *  is negative, then the op's queue notes. */
+void
+appendSlot(std::string &out, const Ddg &ddg, const KernelSlot &s,
+           int iteration, const std::vector<std::string> &notes)
 {
-    std::string txt = strfmt("%s", opcodeName(ddg.op(s.op).opc));
-    txt += strfmt("%d", s.op);
+    append(out, ' ', opcodeName(ddg.op(s.op).opc), s.op);
     if (iteration >= 0)
-        txt += strfmt("[i%d]", iteration);
+        append(out, "[i", iteration, ']');
     else
-        txt += strfmt("(s%d)", s.stage);
-    txt += notes[static_cast<size_t>(s.op)];
-    return txt;
+        append(out, "(s", s.stage, ')');
+    out += notes[static_cast<size_t>(s.op)];
 }
 
-std::string
-rowText(const Ddg &ddg, const MachineModel &machine,
-        const std::vector<KernelSlot> &row, int stage_of_iter0,
-        const std::vector<std::string> &notes)
+/** Line @p t: "  [t]" (right-aligned in @p width), its slots or
+ *  " nop", "\n". */
+template <typename Slots>
+void
+appendLine(std::string &out, int t, int width, const Slots &slots)
 {
-    std::string line;
+    out += "  [";
+    appendInt(out, t, width);
+    out += ']';
+    const size_t mark = out.size();
+    slots();
+    out += out.size() == mark ? " nop\n" : "\n";
+}
+
+/** One kernel word: the slots of each cluster in turn. */
+void
+appendRow(std::string &out, const Ddg &ddg, const MachineModel &machine,
+          const std::vector<KernelSlot> &row,
+          const std::vector<std::string> &notes)
+{
     for (ClusterId c = 0; c < machine.numClusters(); ++c) {
         if (machine.clustered())
-            line += strfmt(" | c%d:", c);
-        bool any = false;
+            append(out, " | c", c, ':');
+        const size_t mark = out.size();
         for (const KernelSlot &s : row) {
-            if (s.cluster != c)
-                continue;
-            int iter = stage_of_iter0 >= 0
-                           ? stage_of_iter0 - s.stage
-                           : -1;
-            if (stage_of_iter0 >= 0 && iter < 0)
-                continue; // not live yet in prologue
-            line += " " + slotText(ddg, s, iter, notes);
-            any = true;
+            if (s.cluster == c)
+                appendSlot(out, ddg, s, -1, notes);
         }
-        if (!any)
-            line += " nop";
+        if (out.size() == mark)
+            out += " nop";
     }
-    return line;
 }
 
 } // namespace
@@ -81,13 +87,15 @@ emitKernel(const Ddg &ddg, const MachineModel &machine,
            const PipelinedLoop &loop, const QueueAllocation *queues)
 {
     const std::vector<std::string> notes = queueNotes(ddg, queues);
-    std::string out =
-        strfmt("kernel: II=%d, SC=%d\n", loop.ii, loop.stageCount);
+    std::string out;
+    out.reserve(64 + 12 * static_cast<size_t>(loop.ii) +
+                24 * static_cast<size_t>(ddg.liveOpCount()));
+    append(out, "kernel: II=", loop.ii, ", SC=", loop.stageCount, '\n');
     for (int r = 0; r < loop.ii; ++r) {
-        out += strfmt("  [%2d]", r);
-        out += rowText(ddg, machine,
-                       loop.rows[static_cast<size_t>(r)], -1, notes);
-        out += "\n";
+        appendLine(out, r, 2, [&] {
+            appendRow(out, ddg, machine,
+                      loop.rows[static_cast<size_t>(r)], notes);
+        });
     }
     return out;
 }
@@ -98,36 +106,36 @@ emitPipelinedCode(const Ddg &ddg, const MachineModel &machine,
                   const QueueAllocation *queues)
 {
     const std::vector<std::string> notes = queueNotes(ddg, queues);
-    std::string out;
     const int sc = loop.stageCount;
     const int ii = loop.ii;
-
-    out += strfmt("; pipelined loop: II=%d SC=%d prologue=%d cycles\n",
-                  ii, sc, loop.rampCycles());
+    std::string out;
+    // Every slot is rendered SC times: SC-1-stage times in the
+    // prologue, once in the kernel, stage times in the epilogue.
+    out.reserve(64 + 12 * static_cast<size_t>((2 * sc - 1) * ii) +
+                24 * static_cast<size_t>(sc * ddg.liveOpCount()));
+    append(out, "; pipelined loop: II=", ii, " SC=", sc,
+           " prologue=", loop.rampCycles(), " cycles\n");
 
     // Prologue: cycles 0 .. (SC-1)*II - 1. At global cycle t, the
     // op copies live are those of stages 0..t/II; an op of stage s
     // executes iteration (t/II - s).
     out += "prologue:\n";
     for (int t = 0; t < (sc - 1) * ii; ++t) {
-        std::string line;
-        for (const KernelSlot &s :
-             loop.rows[static_cast<size_t>(t % ii)]) {
-            int iter = t / ii - s.stage;
-            if (iter < 0)
-                continue;
-            line += " " + slotText(ddg, s, iter, notes);
-        }
-        out += strfmt("  [%3d]%s\n", t,
-                      line.empty() ? " nop" : line.c_str());
+        appendLine(out, t, 3, [&] {
+            for (const KernelSlot &s :
+                 loop.rows[static_cast<size_t>(t % ii)]) {
+                if (t / ii >= s.stage)
+                    appendSlot(out, ddg, s, t / ii - s.stage, notes);
+            }
+        });
     }
 
     out += "kernel (repeat):\n";
     for (int r = 0; r < ii; ++r) {
-        out += strfmt("  [%3d]", r);
-        out += rowText(ddg, machine,
-                       loop.rows[static_cast<size_t>(r)], -1, notes);
-        out += "\n";
+        appendLine(out, r, 3, [&] {
+            appendRow(out, ddg, machine,
+                      loop.rows[static_cast<size_t>(r)], notes);
+        });
     }
 
     // Epilogue: the last SC-1 stages drain. With N iterations, at
@@ -135,18 +143,15 @@ emitPipelinedCode(const Ddg &ddg, const MachineModel &machine,
     // N - 1 - (stages remaining); emit with symbolic subscripts.
     out += "epilogue:\n";
     for (int t = 0; t < (sc - 1) * ii; ++t) {
-        std::string line;
-        for (const KernelSlot &s :
-             loop.rows[static_cast<size_t>(t % ii)]) {
-            // Stages s > t/II are still draining.
-            if (s.stage > t / ii) {
-                line += strfmt(" %s%d[N-%d]",
-                               opcodeName(ddg.op(s.op).opc), s.op,
-                               s.stage - t / ii);
+        appendLine(out, t, 3, [&] {
+            for (const KernelSlot &s :
+                 loop.rows[static_cast<size_t>(t % ii)]) {
+                // Stages s > t/II are still draining.
+                if (s.stage > t / ii)
+                    append(out, ' ', opcodeName(ddg.op(s.op).opc), s.op,
+                           "[N-", s.stage - t / ii, ']');
             }
-        }
-        out += strfmt("  [%3d]%s\n", t,
-                      line.empty() ? " nop" : line.c_str());
+        });
     }
     return out;
 }

@@ -332,6 +332,7 @@ struct CompileService::Impl
                                  ? CompileStatus::Ok
                                  : CompileStatus::Unschedulable;
             if (result->ok && job.options.codegen) {
+                obs::ScopedSpan emit(tr, "codegen.emit");
                 result->kernelText = emitPipelinedCode(
                     ctx.scheduledDdg(), job.machine, ctx.kernel,
                     ctx.queuesValid ? &ctx.queues : nullptr);

@@ -2,22 +2,26 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace dms {
 
 std::string
 vstrfmt(const char *fmt, va_list ap)
 {
+    // One pass into a stack buffer fits nearly every message; only
+    // longer output is formatted again, straight into the string.
+    char buf[512];
     va_list ap_copy;
     va_copy(ap_copy, ap);
-    int n = std::vsnprintf(nullptr, 0, fmt, ap_copy);
+    int n = std::vsnprintf(buf, sizeof buf, fmt, ap_copy);
     va_end(ap_copy);
     if (n < 0)
         return "<format error>";
-    std::vector<char> buf(static_cast<size_t>(n) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, ap);
-    return std::string(buf.data(), static_cast<size_t>(n));
+    if (static_cast<size_t>(n) < sizeof buf)
+        return std::string(buf, static_cast<size_t>(n));
+    std::string out(static_cast<size_t>(n), '\0');
+    std::vsnprintf(out.data(), out.size() + 1, fmt, ap);
+    return out;
 }
 
 std::string

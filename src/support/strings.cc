@@ -1,7 +1,8 @@
 #include "support/strings.h"
 
+#include <algorithm>
 #include <cctype>
-#include <cerrno>
+#include <charconv>
 #include <climits>
 #include <cstdlib>
 
@@ -38,50 +39,83 @@ join(const std::vector<std::string> &parts, std::string_view sep)
     return out;
 }
 
-std::string
-trim(std::string_view s)
+namespace {
+
+bool
+isSpace(char c)
+{
+    return std::isspace(static_cast<unsigned char>(c)) != 0;
+}
+
+/** strtol's decimal grammar over a view, range-checked to [lo, hi]. */
+bool
+parseIntIn(std::string_view s, long long lo, long long hi, int &out)
+{
+    std::string_view t = trimView(s);
+    t = t.substr(0, t.find('\0'));
+    size_t i = 0;
+    const bool negative = !t.empty() && t[0] == '-';
+    if (!t.empty() && (t[0] == '-' || t[0] == '+'))
+        ++i;
+    if (i == t.size())
+        return false; // no digits
+    // Saturate just past the int range so long inputs cannot wrap.
+    constexpr long long kCap = static_cast<long long>(INT_MAX) + 2;
+    long long v = 0;
+    for (; i < t.size(); ++i) {
+        if (t[i] < '0' || t[i] > '9')
+            return false; // trailing garbage ("12x")
+        v = std::min(v * 10 + (t[i] - '0'), kCap);
+    }
+    if (negative)
+        v = -v;
+    if (v < lo || v > hi)
+        return false; // out of range
+    out = static_cast<int>(v);
+    return true;
+}
+
+} // namespace
+
+std::string_view
+trimView(std::string_view s)
 {
     size_t b = 0;
     size_t e = s.size();
-    while (b < e && std::isspace(static_cast<unsigned char>(s[b])))
+    while (b < e && isSpace(s[b]))
         ++b;
-    while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])))
+    while (e > b && isSpace(s[e - 1]))
         --e;
-    return std::string(s.substr(b, e - b));
+    return s.substr(b, e - b);
+}
+
+std::string
+trim(std::string_view s)
+{
+    return std::string(trimView(s));
+}
+
+void
+appendInt(std::string &out, long long v, int width)
+{
+    char buf[24];
+    const auto r = std::to_chars(buf, buf + sizeof buf, v);
+    const auto n = static_cast<int>(r.ptr - buf);
+    if (n < width)
+        out.append(static_cast<size_t>(width - n), ' ');
+    out.append(buf, r.ptr);
 }
 
 bool
 parseInt(std::string_view s, int &out)
 {
-    std::string t = trim(s);
-    if (t.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    long v = std::strtol(t.c_str(), &end, 10);
-    if (end == nullptr || end == t.c_str() || *end != '\0')
-        return false; // empty digits or trailing garbage ("12x")
-    if (errno == ERANGE || v < 0 || v > INT_MAX)
-        return false; // out of int range
-    out = static_cast<int>(v);
-    return true;
+    return parseIntIn(s, 0, INT_MAX, out);
 }
 
 bool
 parseSignedInt(std::string_view s, int &out)
 {
-    std::string t = trim(s);
-    if (t.empty())
-        return false;
-    char *end = nullptr;
-    errno = 0;
-    long v = std::strtol(t.c_str(), &end, 10);
-    if (end == nullptr || end == t.c_str() || *end != '\0')
-        return false; // empty digits or trailing garbage
-    if (errno == ERANGE || v < INT_MIN || v > INT_MAX)
-        return false; // out of int range
-    out = static_cast<int>(v);
-    return true;
+    return parseIntIn(s, INT_MIN, INT_MAX, out);
 }
 
 int

@@ -8,6 +8,7 @@
 
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace dms {
@@ -22,7 +23,38 @@ std::string join(const std::vector<std::string> &parts,
 /** Strip leading/trailing ASCII whitespace. */
 std::string trim(std::string_view s);
 
-/** Parse a non-negative integer; returns false on garbage. */
+/** trim() without the copy: a view into @p s. */
+std::string_view trimView(std::string_view s);
+
+/**
+ * Append the decimal form of @p v, right-aligned in @p width
+ * characters with spaces like printf's "%*d" (no padding when the
+ * number is wider). The printers' allocation-free integer path.
+ */
+void appendInt(std::string &out, long long v, int width = 0);
+
+/** Append each part in turn: integers as by appendInt, characters
+ *  and strings as they are. */
+template <typename... Parts>
+void
+append(std::string &out, const Parts &...parts)
+{
+    const auto one = [&out](const auto &part) {
+        using T = std::decay_t<decltype(part)>;
+        if constexpr (std::is_integral_v<T> && !std::is_same_v<T, char>)
+            appendInt(out, part);
+        else
+            out += part;
+    };
+    (one(parts), ...);
+}
+
+/**
+ * Parse a non-negative integer; returns false on garbage. The
+ * grammar is strtol's: surrounding whitespace and a leading '+' or
+ * '-' are accepted ("-0" is 0), and an embedded NUL ends the number
+ * as it ends a C string.
+ */
 bool parseInt(std::string_view s, int &out);
 
 /**

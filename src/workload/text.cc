@@ -1,8 +1,11 @@
 #include "workload/text.h"
 
+#include <algorithm>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "ir/scc.h"
 #include "ir/verify.h"
@@ -14,108 +17,175 @@ namespace dms {
 namespace {
 
 /**
- * Error-carrying parse state. Every helper returns false after
- * setError(); the public entry points either propagate the message
- * or fatal() with it, so the strict one-exit-per-line behaviour of
- * the original parser is preserved for the CLI while the service
- * can reject a request without dying.
+ * One directive line, split in place: its space-separated fields
+ * and the "key=value" attributes after the operands. The buffers
+ * are reused from line to line, so parsing allocates nothing per
+ * token. Every check returns false after fail(); the public entry
+ * points either propagate the message or fatal() with it, so the
+ * CLI keeps its one-exit-per-line behaviour while the service can
+ * reject a request without dying.
  */
-struct ParseState
+struct Line
 {
+    int no = 0;
+    std::vector<std::string_view> f;
+    std::vector<std::pair<std::string_view, std::string_view>> attrs;
     std::string error;
 
+    /** "line N: " + the message. */
     __attribute__((format(printf, 2, 3))) bool
     fail(const char *fmt, ...)
     {
         va_list ap;
         va_start(ap, fmt);
-        error = vstrfmt(fmt, ap);
+        error = strfmt("line %d: ", no) + vstrfmt(fmt, ap);
         va_end(ap);
         return false;
+    }
+
+    /** Collect f[from..] as attributes; each needs exactly one '='. */
+    bool
+    splitAttrs(size_t from)
+    {
+        attrs.clear();
+        for (size_t i = from; i < f.size(); ++i) {
+            const size_t eq = f[i].find('=');
+            if (eq == std::string_view::npos ||
+                f[i].find('=', eq + 1) != std::string_view::npos)
+                return fail("bad attribute '%s'", quoted(i).c_str());
+            attrs.emplace_back(f[i].substr(0, eq), f[i].substr(eq + 1));
+        }
+        return true;
+    }
+
+    /**
+     * Integer attribute @p key (the last one given wins), or
+     * @p fallback when absent. Offsets and const literals are signed
+     * in the format; ids, distances, slots and latencies are not.
+     */
+    bool
+    intAttr(const char *key, int fallback, int &out,
+            bool allow_negative = false)
+    {
+        out = fallback;
+        for (auto a = attrs.rbegin(); a != attrs.rend(); ++a) {
+            if (a->first != key)
+                continue;
+            if (allow_negative ? parseSignedInt(a->second, out)
+                               : parseInt(a->second, out))
+                return true;
+            return fail("bad integer for %s", key);
+        }
+        return true;
+    }
+
+    /** Field @p i as a C string for a message: %s stops at an
+     *  embedded NUL. */
+    std::string quoted(size_t i) const { return std::string(f[i]); }
+
+    /** Split @p line into its non-empty space-separated fields. */
+    void
+    split(std::string_view line)
+    {
+        f.clear();
+        for (size_t pos = 0; pos < line.size();) {
+            const size_t sp = std::min(line.find(' ', pos), line.size());
+            if (sp > pos)
+                f.push_back(line.substr(pos, sp - pos));
+            pos = sp + 1;
+        }
     }
 };
 
 bool
-opcodeFromName(const std::string &name, int line, Opcode &out,
-               ParseState &ps)
+parseLoop(Line &l, Loop &out)
 {
-    for (int i = 0; i < kNumOpcodes; ++i) {
-        Opcode o = static_cast<Opcode>(i);
-        if (name == opcodeName(o)) {
-            out = o;
-            return true;
-        }
-    }
-    return ps.fail("line %d: unknown opcode '%s'", line,
-                   name.c_str());
-}
-
-bool
-depKindFromName(const std::string &name, int line, DepKind &out,
-                ParseState &ps)
-{
-    if (name == "flow")
-        out = DepKind::Flow;
-    else if (name == "anti")
-        out = DepKind::Anti;
-    else if (name == "output")
-        out = DepKind::Output;
-    else if (name == "memory")
-        out = DepKind::Memory;
-    else
-        return ps.fail("line %d: unknown dependence kind '%s'",
-                       line, name.c_str());
+    if (l.f.size() < 2)
+        return l.fail("loop needs a name");
+    out.name = l.f[1];
+    if (l.f.size() < 4 || l.f[2] != "trip")
+        return true;
+    int trip = 0;
+    if (!parseInt(l.f[3], trip))
+        return l.fail("bad trip count");
+    out.tripCount = trip;
     return true;
 }
 
-/** Parse "key=value" attributes into a map. */
 bool
-attrs(const std::vector<std::string> &fields, size_t from, int line,
-      std::map<std::string, std::string> &out, ParseState &ps)
+parseOp(Line &l, Loop &out, std::map<int, OpId> &ids)
 {
-    out.clear();
-    for (size_t i = from; i < fields.size(); ++i) {
-        auto kv = split(fields[i], '=');
-        if (kv.size() != 2)
-            return ps.fail("line %d: bad attribute '%s'", line,
-                           fields[i].c_str());
-        out[kv[0]] = kv[1];
-    }
+    if (l.f.size() < 3)
+        return l.fail("op needs id and opcode");
+    int fid = 0;
+    if (!parseInt(l.f[1], fid))
+        return l.fail("bad op id");
+    if (ids.count(fid))
+        return l.fail("duplicate op id %d", fid);
+    int opc = 0;
+    while (opc < kNumOpcodes &&
+           l.f[2] != opcodeName(static_cast<Opcode>(opc)))
+        ++opc;
+    if (opc == kNumOpcodes)
+        return l.fail("unknown opcode '%s'", l.quoted(2).c_str());
+    int stream = -1;
+    int offset = 0;
+    int literal = 0;
+    if (!l.splitAttrs(3) || !l.intAttr("stream", -1, stream) ||
+        !l.intAttr("offset", 0, offset, /*allow_negative=*/true) ||
+        !l.intAttr("lit", 0, literal, /*allow_negative=*/true))
+        return false;
+    OpId id = out.ddg.addOp(static_cast<Opcode>(opc));
+    out.ddg.op(id).memStream = stream;
+    out.ddg.op(id).memOffset = offset;
+    out.ddg.op(id).literal = literal;
+    ids[fid] = id;
     return true;
 }
 
-/**
- * Integer attribute lookup. @p allow_negative selects the signed
- * parse — offsets and const literals are signed in the format,
- * everything else (ids, distances, slots, latencies) is not.
- */
 bool
-attrInt(const std::map<std::string, std::string> &a,
-        const std::string &key, int fallback, int line, int &out,
-        ParseState &ps, bool allow_negative = false)
+parseEdge(Line &l, Loop &out, const std::map<int, OpId> &ids,
+          const LatencyModel &lat)
 {
-    auto it = a.find(key);
-    if (it == a.end()) {
-        out = fallback;
+    if (l.f.size() < 4)
+        return l.fail("edge needs src dst kind");
+    int src = 0;
+    int dst = 0;
+    if (!parseInt(l.f[1], src) || !parseInt(l.f[2], dst))
+        return l.fail("bad edge endpoints");
+    const auto s = ids.find(src);
+    const auto d = ids.find(dst);
+    if (s == ids.end() || d == ids.end())
+        return l.fail("edge references unknown op");
+    DepKind kind = DepKind::Flow;
+    while (l.f[3] != depKindName(kind)) {
+        if (kind == DepKind::Memory)
+            return l.fail("unknown dependence kind '%s'",
+                          l.quoted(3).c_str());
+        kind = static_cast<DepKind>(static_cast<int>(kind) + 1);
+    }
+    int dist = 0;
+    if (!l.splitAttrs(4) || !l.intAttr("dist", 0, dist))
+        return false;
+    if (kind != DepKind::Flow) {
+        int latency = 0;
+        if (!l.intAttr("lat", kind == DepKind::Anti ? 0 : 1, latency))
+            return false;
+        out.ddg.addEdge(s->second, d->second, kind, dist, latency);
         return true;
     }
-    bool ok = allow_negative ? parseSignedInt(it->second, out)
-                             : parseInt(it->second, out);
-    if (!ok)
-        return ps.fail("line %d: bad integer for %s", line,
-                       key.c_str());
+    int slot = 0;
+    if (!l.intAttr("slot", 0, slot))
+        return false;
+    if (slot != 0 && slot != 1)
+        return l.fail("flow slot must be 0 or 1 (got %d)", slot);
+    const Opcode opc = out.ddg.op(s->second).opc;
+    if (!producesValue(opc))
+        return l.fail("flow edge from op %d, which produces no value",
+                      src);
+    out.ddg.addEdge(s->second, d->second, kind, dist, lat.of(opc),
+                    slot);
     return true;
-}
-
-std::vector<std::string>
-tokens(const std::string &line)
-{
-    std::vector<std::string> out;
-    for (const std::string &t : split(trim(line), ' ')) {
-        if (!t.empty())
-            out.push_back(t);
-    }
-    return out;
 }
 
 } // namespace
@@ -123,40 +193,44 @@ tokens(const std::string &line)
 std::string
 loopToText(const Loop &loop)
 {
-    std::string out = strfmt("loop %s trip %ld\n",
-                             loop.name.c_str(), loop.tripCount);
+    const Ddg &g = loop.ddg;
+    std::string out;
+    out.reserve(32 + loop.name.size() +
+                24 * static_cast<size_t>(g.numOps()) +
+                32 * static_cast<size_t>(g.numEdges()));
+    // The name ends at an embedded NUL, like every quoted field.
+    append(out, "loop ", loop.name.c_str(), " trip ", loop.tripCount,
+           '\n');
     // Canonical ids: live ops renumbered densely in id order, so a
     // graph with holes (dead ops) serializes identically to its
     // re-parsed self and the text is a stable cache key.
-    std::map<OpId, int> dense;
-    for (OpId id = 0; id < loop.ddg.numOps(); ++id) {
-        if (!loop.ddg.opLive(id))
+    std::vector<int> dense(static_cast<size_t>(g.numOps()), -1);
+    int next = 0;
+    for (OpId id = 0; id < g.numOps(); ++id) {
+        if (!g.opLive(id))
             continue;
-        int fid = static_cast<int>(dense.size());
-        dense[id] = fid;
-        const Operation &o = loop.ddg.op(id);
-        out += strfmt("op %d %s", fid, opcodeName(o.opc));
+        dense[static_cast<size_t>(id)] = next;
+        const Operation &o = g.op(id);
+        append(out, "op ", next++, ' ', opcodeName(o.opc));
         if (o.memStream >= 0)
-            out += strfmt(" stream=%d", o.memStream);
+            append(out, " stream=", o.memStream);
         if (o.memOffset != 0)
-            out += strfmt(" offset=%d", o.memOffset);
+            append(out, " offset=", o.memOffset);
         if (o.opc == Opcode::Const)
-            out += strfmt(" lit=%lld",
-                          static_cast<long long>(o.literal));
-        out += "\n";
+            append(out, " lit=", o.literal);
+        out += '\n';
     }
-    for (EdgeId e = 0; e < loop.ddg.numEdges(); ++e) {
-        if (!loop.ddg.edgeLive(e))
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        if (!g.edgeLive(e))
             continue;
-        const Edge &ed = loop.ddg.edge(e);
-        out += strfmt("edge %d %d %s dist=%d", dense.at(ed.src),
-                      dense.at(ed.dst), depKindName(ed.kind),
-                      ed.distance);
+        const Edge &ed = g.edge(e);
+        append(out, "edge ", dense[static_cast<size_t>(ed.src)], ' ',
+               dense[static_cast<size_t>(ed.dst)], ' ',
+               depKindName(ed.kind), " dist=", ed.distance);
         if (ed.kind == DepKind::Flow)
-            out += strfmt(" slot=%d", ed.operandIndex);
+            append(out, " slot=", ed.operandIndex, '\n');
         else
-            out += strfmt(" lat=%d", ed.latency);
-        out += "\n";
+            append(out, " lat=", ed.latency, '\n');
     }
     return out;
 }
@@ -165,129 +239,32 @@ bool
 loopFromText(const std::string &text, Loop &out, std::string &error,
              const LatencyModel &lat)
 {
-    ParseState ps;
     out = Loop();
     out.name = "unnamed";
     std::map<int, OpId> ids; // file id -> ddg id
-    std::map<std::string, std::string> a;
-
-    int line_no = 0;
-    for (const std::string &raw : split(text, '\n')) {
-        ++line_no;
-        std::string line = trim(raw);
-        if (line.empty() || line[0] == '#')
+    Line l;
+    const std::string_view all(text);
+    for (size_t pos = 0; pos <= all.size() && l.error.empty();) {
+        const size_t nl = std::min(all.find('\n', pos), all.size());
+        ++l.no;
+        l.split(trimView(all.substr(pos, nl - pos)));
+        pos = nl + 1;
+        if (l.f.empty() || l.f[0][0] == '#')
             continue;
-        auto f = tokens(line);
-
-        if (f[0] == "loop") {
-            if (f.size() < 2) {
-                ps.fail("line %d: loop needs a name", line_no);
-                break;
-            }
-            out.name = f[1];
-            if (f.size() >= 4 && f[2] == "trip") {
-                int trip = 0;
-                if (!parseInt(f[3], trip)) {
-                    ps.fail("line %d: bad trip count", line_no);
-                    break;
-                }
-                out.tripCount = trip;
-            }
-        } else if (f[0] == "op") {
-            if (f.size() < 3) {
-                ps.fail("line %d: op needs id and opcode", line_no);
-                break;
-            }
-            int fid = 0;
-            if (!parseInt(f[1], fid)) {
-                ps.fail("line %d: bad op id", line_no);
-                break;
-            }
-            if (ids.count(fid)) {
-                ps.fail("line %d: duplicate op id %d", line_no,
-                        fid);
-                break;
-            }
-            Opcode opc = Opcode::Add;
-            if (!opcodeFromName(f[2], line_no, opc, ps))
-                break;
-            if (!attrs(f, 3, line_no, a, ps))
-                break;
-            int stream = -1;
-            int offset = 0;
-            int literal = 0;
-            if (!attrInt(a, "stream", -1, line_no, stream, ps) ||
-                !attrInt(a, "offset", 0, line_no, offset, ps,
-                         /*allow_negative=*/true) ||
-                !attrInt(a, "lit", 0, line_no, literal, ps,
-                         /*allow_negative=*/true)) {
-                break;
-            }
-            OpId id = out.ddg.addOp(opc);
-            out.ddg.op(id).memStream = stream;
-            out.ddg.op(id).memOffset = offset;
-            out.ddg.op(id).literal = literal;
-            ids[fid] = id;
-        } else if (f[0] == "edge") {
-            if (f.size() < 4) {
-                ps.fail("line %d: edge needs src dst kind",
-                        line_no);
-                break;
-            }
-            int src = 0;
-            int dst = 0;
-            if (!parseInt(f[1], src) || !parseInt(f[2], dst)) {
-                ps.fail("line %d: bad edge endpoints", line_no);
-                break;
-            }
-            if (!ids.count(src) || !ids.count(dst)) {
-                ps.fail("line %d: edge references unknown op",
-                        line_no);
-                break;
-            }
-            DepKind kind = DepKind::Flow;
-            if (!depKindFromName(f[3], line_no, kind, ps))
-                break;
-            if (!attrs(f, 4, line_no, a, ps))
-                break;
-            int dist = 0;
-            if (!attrInt(a, "dist", 0, line_no, dist, ps))
-                break;
-            if (kind == DepKind::Flow) {
-                int slot = 0;
-                if (!attrInt(a, "slot", 0, line_no, slot, ps))
-                    break;
-                if (slot != 0 && slot != 1) {
-                    ps.fail("line %d: flow slot must be 0 or 1 "
-                            "(got %d)",
-                            line_no, slot);
-                    break;
-                }
-                OpId s = ids[src];
-                if (!producesValue(out.ddg.op(s).opc)) {
-                    ps.fail("line %d: flow edge from op %d, "
-                            "which produces no value",
-                            line_no, src);
-                    break;
-                }
-                out.ddg.addEdge(s, ids[dst], kind, dist,
-                                lat.of(out.ddg.op(s).opc), slot);
-            } else {
-                int fallback = kind == DepKind::Anti ? 0 : 1;
-                int l = 0;
-                if (!attrInt(a, "lat", fallback, line_no, l, ps))
-                    break;
-                out.ddg.addEdge(ids[src], ids[dst], kind, dist, l);
-            }
+        const std::string_view directive = l.f[0];
+        if (directive == "loop") {
+            parseLoop(l, out);
+        } else if (directive == "op") {
+            parseOp(l, out, ids);
+        } else if (directive == "edge") {
+            parseEdge(l, out, ids, lat);
         } else {
-            ps.fail("line %d: unknown directive '%s'", line_no,
-                    f[0].c_str());
-            break;
+            l.fail("unknown directive '%s'", l.quoted(0).c_str());
         }
     }
 
-    if (!ps.error.empty()) {
-        error = ps.error;
+    if (!l.error.empty()) {
+        error = std::move(l.error);
         return false;
     }
     auto problems = verifyDdg(out.ddg);

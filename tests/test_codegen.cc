@@ -4,14 +4,21 @@
  * assembly emitters.
  */
 
+#include <cstdint>
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "codegen/emit.h"
 #include "codegen/perf.h"
 #include "core/dms.h"
+#include "core/pipeline.h"
 #include "ir/prepass.h"
 #include "sched/ims.h"
 #include "workload/kernels.h"
+#include "workload/suite.h"
+#include "workload/synth.h"
+#include "workload/text.h"
 
 namespace dms {
 namespace {
@@ -140,6 +147,103 @@ TEST(Emit, PrologueRampsUpIterations)
         ASSERT_NE(first_i0, std::string::npos);
         EXPECT_LT(first_i0, first_i1);
     }
+}
+
+/** FNV-1a over text blobs, each length-prefixed. */
+class TextHash
+{
+  public:
+    void
+    mix(std::string_view text)
+    {
+        byte(text.size());
+        for (char c : text)
+            byte(static_cast<unsigned char>(c));
+    }
+
+    std::uint64_t value() const { return h_; }
+
+  private:
+    void
+    byte(std::uint64_t b)
+    {
+        h_ ^= b & 0xff;
+        h_ *= 0x100000001b3ULL;
+    }
+
+    std::uint64_t h_ = 0xcbf29ce484222325ULL;
+};
+
+// The printed loop text is a cache key, the pipelined code is the
+// wire result and both are compared byte for byte by clients: pin
+// every byte the printers produce over named kernels and a fixed
+// synth suite on each topology, with and without queue notes.
+TEST(TextGolden, LoopAndKernelTextUnchanged)
+{
+    std::vector<Loop> loops = namedKernels();
+    for (Loop &l : synthesizeSuite(kSuiteSeed, 40))
+        loops.push_back(std::move(l));
+
+    struct Target
+    {
+        MachineModel machine;
+        const char *scheduler;
+    };
+    const std::array<int, kNumFuClasses> fus = {1, 1, 1, 1};
+    const std::vector<Target> targets = {
+        {MachineModel::clusteredRing(4), "dms"},
+        {MachineModel::custom(4, RegFileKind::Queues, fus,
+                              TopologyKind::Mesh, 2, 2),
+         "dms"},
+        {MachineModel::custom(4, RegFileKind::Queues, fus,
+                              TopologyKind::Crossbar),
+         "dms"},
+        {MachineModel::unclustered(4), "ims"},
+    };
+
+    TextHash hash;
+    int compiled = 0;
+    for (const Loop &loop : loops) {
+        const std::string text = loopToText(loop);
+        hash.mix(text);
+        // The parsed form must print back to the same bytes.
+        Loop back;
+        std::string error;
+        ASSERT_TRUE(loopFromText(text, back, error)) << error;
+        hash.mix(loopToText(back));
+        hash.mix(back.recurrence ? "rec" : "acyclic");
+
+        for (const Target &t : targets) {
+            PipelineOptions po;
+            po.scheduler = t.scheduler;
+            po.regalloc = true;
+            po.codegen = true;
+            po.perf = false;
+            CompilationContext ctx;
+            if (!Pipeline(po).run(loop, t.machine, ctx)) {
+                hash.mix("unschedulable");
+                continue;
+            }
+            ++compiled;
+            const Ddg &ddg = ctx.scheduledDdg();
+            // The scheduled graph carries copies and moves: print
+            // it as a loop too, so dense renumbering is exercised.
+            Loop scheduled;
+            scheduled.name = loop.name;
+            scheduled.tripCount = loop.tripCount;
+            scheduled.ddg = ddg;
+            hash.mix(loopToText(scheduled));
+            const QueueAllocation *queues =
+                ctx.queuesValid ? &ctx.queues : nullptr;
+            hash.mix(emitKernel(ddg, t.machine, ctx.kernel));
+            hash.mix(emitKernel(ddg, t.machine, ctx.kernel, queues));
+            hash.mix(emitPipelinedCode(ddg, t.machine, ctx.kernel));
+            hash.mix(emitPipelinedCode(ddg, t.machine, ctx.kernel,
+                                       queues));
+        }
+    }
+    EXPECT_GT(compiled, static_cast<int>(loops.size()) * 3);
+    EXPECT_EQ(hash.value(), 0x18fe93d9b7ec0448ULL) << std::hex << hash.value();
 }
 
 } // namespace

@@ -356,6 +356,15 @@ TEST(Trace, ArmedServiceRecordsTheSameSpanTreeEveryRun)
     EXPECT_EQ(count("schedule"), 1);
     EXPECT_EQ(count("codegen"), 1);
     EXPECT_GE(count("sched.attempt"), 1);
+    // The kernel text the worker emits after the pipeline is timed
+    // inside the compile span, not left as its self time.
+    ASSERT_EQ(count("codegen.emit"), 1);
+    const auto emit = std::find_if(spans.begin(), spans.end(),
+                                   [](const auto &s) {
+                                       return s.first == "codegen.emit";
+                                   });
+    ASSERT_GE(emit->second, 0);
+    EXPECT_EQ(spans[static_cast<size_t>(emit->second)].first, "compile");
 }
 
 TEST(Trace, DisarmedServiceRecordsNothing)

@@ -4,6 +4,8 @@
  * tables and string helpers.
  */
 
+#include <climits>
+
 #include <gtest/gtest.h>
 
 #include "support/diag.h"
@@ -27,6 +29,16 @@ TEST(Strfmt, EmptyAndLong)
     EXPECT_EQ(strfmt("%s", ""), "");
     std::string big(500, 'z');
     EXPECT_EQ(strfmt("%s", big.c_str()), big);
+    // Past any on-stack first attempt, with conversions on both
+    // sides of the boundary.
+    std::string huge(5000, 'q');
+    EXPECT_EQ(strfmt("<%s>%d%s!", huge.c_str(), -123456, huge.c_str()),
+              "<" + huge + ">-123456" + huge + "!");
+    for (int n : {511, 512, 513, 1023, 1024, 1025}) {
+        std::string s(static_cast<size_t>(n), 'a');
+        EXPECT_EQ(strfmt("%s", s.c_str()), s) << n;
+        EXPECT_EQ(strfmt("%s%d", s.c_str(), 9), s + "9") << n;
+    }
 }
 
 TEST(Rng, Deterministic)
@@ -190,6 +202,21 @@ TEST(Strings, JoinAndTrim)
     EXPECT_EQ(join({}, "+"), "");
     EXPECT_EQ(trim("  x y\t"), "x y");
     EXPECT_EQ(trim(""), "");
+    EXPECT_EQ(trimView("\r\v a b \f"), "a b");
+}
+
+TEST(Strings, AppendIntPadsLikePrintf)
+{
+    std::string s = "x";
+    appendInt(s, 7, 3);
+    appendInt(s, -5, 3);
+    appendInt(s, 1234, 2);
+    appendInt(s, 0);
+    appendInt(s, LLONG_MIN);
+    EXPECT_EQ(s, strfmt("x%3d%3d%2d%d%lld", 7, -5, 1234, 0, LLONG_MIN));
+    s.clear();
+    append(s, "op ", 12, ' ', std::string("add"), " lit=", -3L, '\n');
+    EXPECT_EQ(s, "op 12 add lit=-3\n");
 }
 
 TEST(Strings, ParseInt)
@@ -202,6 +229,32 @@ TEST(Strings, ParseInt)
     EXPECT_FALSE(parseInt("x", v));
     EXPECT_FALSE(parseInt("", v));
     EXPECT_FALSE(parseInt("3x", v));
+    // strtol's grammar: surrounding whitespace, a leading sign, and
+    // "-0" as a non-negative value.
+    EXPECT_TRUE(parseInt("+7", v));
+    EXPECT_EQ(v, 7);
+    EXPECT_TRUE(parseInt("\t 7\n", v));
+    EXPECT_EQ(v, 7);
+    EXPECT_TRUE(parseInt("-0", v));
+    EXPECT_EQ(v, 0);
+    EXPECT_TRUE(parseInt("007", v));
+    EXPECT_EQ(v, 7);
+    EXPECT_TRUE(parseInt("2147483647", v));
+    EXPECT_EQ(v, 2147483647);
+    EXPECT_FALSE(parseInt("2147483648", v));
+    EXPECT_FALSE(parseInt("-1", v));
+    EXPECT_FALSE(parseInt("+", v));
+    EXPECT_FALSE(parseInt("+-1", v));
+    EXPECT_FALSE(parseInt("1 2", v));
+    EXPECT_FALSE(parseInt("0x10", v));
+    EXPECT_FALSE(parseInt("   ", v));
+    // Only the view's own characters count, and an embedded NUL
+    // ends the number the way it ends a C string.
+    EXPECT_TRUE(parseInt(std::string_view("123", 2), v));
+    EXPECT_EQ(v, 12);
+    EXPECT_TRUE(parseInt(std::string_view("5\0x", 3), v));
+    EXPECT_EQ(v, 5);
+    EXPECT_FALSE(parseInt(std::string_view("\0" "5", 2), v));
 }
 
 TEST(Strings, ParseSignedInt)
@@ -219,6 +272,13 @@ TEST(Strings, ParseSignedInt)
     // Overflow in both directions is rejected, not clamped.
     EXPECT_FALSE(parseSignedInt("99999999999999", v));
     EXPECT_FALSE(parseSignedInt("-99999999999999", v));
+    EXPECT_TRUE(parseSignedInt("+7", v));
+    EXPECT_EQ(v, 7);
+    EXPECT_TRUE(parseSignedInt("-2147483648", v));
+    EXPECT_EQ(v, -2147483647 - 1);
+    EXPECT_FALSE(parseSignedInt("-2147483649", v));
+    EXPECT_FALSE(parseSignedInt("2147483648", v));
+    EXPECT_FALSE(parseSignedInt("--1", v));
 }
 
 TEST(Samples, PercentilesNearestRank)

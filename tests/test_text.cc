@@ -214,6 +214,119 @@ TEST(Text, FlowLatencyComesFromModel)
     EXPECT_EQ(l.ddg.edge(0).latency, 9);
 }
 
+/**
+ * Every rejection message, byte for byte: the service returns these
+ * as Invalid results, so a parser rewrite must reproduce them.
+ */
+TEST(Text, ErrorStringsUnchanged)
+{
+    const std::string two_ops = "op 0 load\nop 1 store\n";
+    const std::string two_loads = "op 0 load\nop 1 load\n";
+    const struct
+    {
+        std::string text;
+        const char *error;
+    } cases[] = {
+        {"op 0 load stream\n", "line 1: bad attribute 'stream'"},
+        {"op 0 load a=b=c\n", "line 1: bad attribute 'a=b=c'"},
+        {"op 0 load stream\r\n", "line 1: bad attribute 'stream'"},
+        {"op 0 load lit=x stream\n", "line 1: bad attribute 'stream'"},
+        {"op 0 load stream=-1\n", "line 1: bad integer for stream"},
+        {"op 0 load stream=\n", "line 1: bad integer for stream"},
+        {"op 0 load stream=x offset=y\n",
+         "line 1: bad integer for stream"},
+        {"op 0 load offset=--2\n", "line 1: bad integer for offset"},
+        {"op 0 load offset=2147483648\n",
+         "line 1: bad integer for offset"},
+        {"op 0 const lit=1.5\n", "line 1: bad integer for lit"},
+        {two_ops + "edge 0 1 flow dist=x slot=0\n",
+         "line 3: bad integer for dist"},
+        {two_ops + "edge 0 1 flow dist=-1 slot=0\n",
+         "line 3: bad integer for dist"},
+        {two_ops + "edge 0 1 flow dist=0 slot=-1\n",
+         "line 3: bad integer for slot"},
+        {two_ops + "edge 0 1 flow dist=0 slot=2\n",
+         "line 3: flow slot must be 0 or 1 (got 2)"},
+        {two_loads + "edge 0 1 memory dist=0 lat=1x\n",
+         "line 3: bad integer for lat"},
+        {two_loads + "edge 0 1 anti lat=\n",
+         "line 3: bad integer for lat"},
+        {"op 0 store\nop 1 load\nedge 0 1 flow dist=0 slot=0\n",
+         "line 3: flow edge from op 0, which produces no value"},
+        {two_ops + "edge 0 1 sideways\n",
+         "line 3: unknown dependence kind 'sideways'"},
+        {two_ops + "edge 0 1 flow stream\n",
+         "line 3: bad attribute 'stream'"},
+        {"op 0 load\nedge 0 5 flow slot=0\n",
+         "line 2: edge references unknown op"},
+        {"op 0 load\nedge 0 y flow\n", "line 2: bad edge endpoints"},
+        {"op 0 load\nedge 0 1\n", "line 2: edge needs src dst kind"},
+        {"op 0 load\nop 0 load\n", "line 2: duplicate op id 0"},
+        {"op 0 load\nop -0 load\n", "line 2: duplicate op id 0"},
+        {"op 0\n", "line 1: op needs id and opcode"},
+        {"op x load\n", "line 1: bad op id"},
+        {"op 0 frobnicate\n", "line 1: unknown opcode 'frobnicate'"},
+        {"op 0 load\t\tx\n", "line 1: unknown opcode 'load\t\tx'"},
+        {"loop\n", "line 1: loop needs a name"},
+        {"loop x trip -3\n", "line 1: bad trip count"},
+        {"banana 1 2\n", "line 1: unknown directive 'banana'"},
+        {"op\t0 load\n", "line 1: unknown directive 'op\t0'"},
+        {"# c\n\n   \n  op 0 load stream=x\n",
+         "line 4: bad integer for stream"},
+        {"loop z trip 1\nop 0 add\nop 1 add\n"
+         "edge 0 1 flow dist=0 slot=0\nedge 1 0 flow dist=0 slot=0\n",
+         "invalid loop 'z': zero-distance dependence cycle present"},
+        // An embedded NUL ends a quoted token.
+        {std::string("op 0 load\0x\n", 12),
+         "line 1: unknown opcode 'load'"},
+    };
+    for (const auto &c : cases) {
+        Loop out;
+        std::string error;
+        EXPECT_FALSE(loopFromText(c.text, out, error)) << c.text;
+        EXPECT_EQ(error, c.error) << c.text;
+    }
+}
+
+/**
+ * The lenient corners of the grammar stay accepted: whitespace
+ * around integers, a leading '+', "-0" ids, last-wins duplicate
+ * and ignored unknown attributes, a trip clause that is not one.
+ */
+TEST(Text, AcceptedInputsUnchanged)
+{
+    const struct
+    {
+        std::string text;
+        const char *canonical;
+    } cases[] = {
+        {"  loop   t   trip  +7  \t\r\n", "loop t trip 7\n"},
+        {"loop t tripx 5\n", "loop t trip 100\n"},
+        {"loop t trip 5 extra\n", "loop t trip 5\n"},
+        {"op -0 load stream=x stream=+2 foo=bar =1\n",
+         "loop unnamed trip 100\nop 0 load stream=2\n"},
+        {"op 3 load stream=\t3 offset=-0\n",
+         "loop unnamed trip 100\nop 0 load stream=3\n"},
+        {"op 0 load\nop 1 store\n"
+         "edge 0 1 flow dist=0 slot=0 lat=x\n",
+         "loop unnamed trip 100\nop 0 load\nop 1 store\n"
+         "edge 0 1 flow dist=0 slot=0\n"},
+        {"op 0 load\nop 1 load\nedge 0 1 memory slot=x\n",
+         "loop unnamed trip 100\nop 0 load\nop 1 load\n"
+         "edge 0 1 memory dist=0 lat=1\n"},
+        {"op 0 const\n", "loop unnamed trip 100\nop 0 const lit=0\n"},
+        {std::string("loop ab\0c trip 3\nop 0 load stream=4\0z\n", 38),
+         "loop ab trip 3\nop 0 load stream=4\n"},
+    };
+    for (const auto &c : cases) {
+        Loop out;
+        std::string error;
+        ASSERT_TRUE(loopFromText(c.text, out, error))
+            << c.text << ": " << error;
+        EXPECT_EQ(loopToText(out), c.canonical) << c.text;
+    }
+}
+
 using TextDeath = ::testing::Test;
 
 TEST(TextDeath, RejectsUnknownOpcode)
