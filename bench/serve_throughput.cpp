@@ -26,8 +26,11 @@
  * multiple of cold rps, default 10; the acceptance floor).
  *
  * Regression gate: when DMS_SERVE_BASELINE names a previous
- * BENCH_serve.json, the run fails (exit 1) if warm rps drops more
- * than DMS_SERVE_MAX_DROP percent (default 15) below it — the CI
+ * BENCH_serve.json, the run fails (exit 1) if warm or cold rps
+ * drops more than DMS_SERVE_MAX_DROP percent (default 15) below
+ * the baseline's — warm guards the cache path, cold the full
+ * compile pipeline. A baseline lacking either field skips that
+ * field's check with a warning. The CI
  * perf-gate job runs merge-base and head back to back and points
  * this at the base run's file, mirroring DMS_HOTPATH_BASELINE.
  */
@@ -41,6 +44,7 @@
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "eval/runner.h"
@@ -72,13 +76,14 @@ struct NetPoint
 };
 
 /**
- * Extract warm.rps from a baseline BENCH_serve.json (string scan;
- * the file is our own single-line emission). Negative when absent.
+ * Extract <phase>.rps ("warm", "cold") from a baseline
+ * BENCH_serve.json (string scan; the file is our own single-line
+ * emission). Negative when absent.
  */
 double
-baselineWarmRps(const std::string &json)
+baselineRps(const std::string &json, const char *phase)
 {
-    const size_t at = json.find("\"warm\":{");
+    const size_t at = json.find(strfmt("\"%s\":{", phase));
     if (at == std::string::npos)
         return -1.0;
     const char *field = "\"rps\":";
@@ -443,24 +448,34 @@ main()
         }
         std::stringstream ss;
         ss << in.rdbuf();
-        const double base = baselineWarmRps(ss.str());
-        if (base <= 0) {
-            warn("baseline has no warm rps; skipping gate");
-            return 0;
-        }
+        const std::string baseline = ss.str();
         const int max_drop = maxDropPercentFromEnv();
-        const double floor = base * (100 - max_drop) / 100.0;
-        if (warm_rps < floor) {
-            std::fprintf(stderr,
-                         "FAIL: warm %.0f req/s is more than "
-                         "%d%% below baseline %.0f (floor "
-                         "%.0f)\n",
-                         warm_rps, max_drop, base, floor);
-            return 1;
+        const std::pair<const char *, double> phases[] = {
+            {"warm", warm_rps}, {"cold", cold_rps}};
+        bool dropped = false;
+        for (const auto &[phase, rps] : phases) {
+            const double base = baselineRps(baseline, phase);
+            if (base <= 0) {
+                warn("baseline has no %s rps; skipping its gate",
+                     phase);
+                continue;
+            }
+            const double floor = base * (100 - max_drop) / 100.0;
+            if (rps < floor) {
+                std::fprintf(stderr,
+                             "FAIL: %s %.0f req/s is more than "
+                             "%d%% below baseline %.0f (floor "
+                             "%.0f)\n",
+                             phase, rps, max_drop, base, floor);
+                dropped = true;
+                continue;
+            }
+            std::printf("gate: %s %.0f req/s vs baseline %.0f "
+                        "(floor %.0f) ok\n",
+                        phase, rps, base, floor);
         }
-        std::printf("gate: warm %.0f req/s vs baseline %.0f "
-                    "(floor %.0f) ok\n",
-                    warm_rps, base, floor);
+        if (dropped)
+            return 1;
     }
     return 0;
 }

@@ -77,7 +77,8 @@ class DmsAttempt
     DmsAttempt(const Ddg &original, const MachineModel &machine,
                const DmsParams &params)
         : original_(original), machine_(machine), params_(params),
-          ddg_(std::make_unique<Ddg>(original)),
+          // Empty: beginAttempt() resets it, then the schedule.
+          ddg_(std::make_unique<Ddg>()),
           ps_(std::make_unique<PartialSchedule>(
               *ddg_, machine, /*ii=*/1))
     {}

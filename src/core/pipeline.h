@@ -80,8 +80,9 @@ struct PipelineOptions
 
 /**
  * Owns the artifacts flowing between stages and the per-context
- * scheduler instances. Reusable: compile after compile, the body
- * graph and scheduler arenas recycle their allocations.
+ * scheduler instances. Reusable: the schedulers are created once and
+ * a factor-1 body is reset into the previous body's buffers; an
+ * unrolled body and each scheduling run's arena are built afresh.
  */
 class CompilationContext
 {

@@ -17,16 +17,14 @@ singleUsePrepass(Ddg &ddg, int copy_latency, int max_fanout)
     // must stay directly attached, or the copy latency would
     // lengthen the cycle and raise RecMII for every machine.
     std::vector<int> scc_of(static_cast<size_t>(ddg.numOps()), -1);
-    {
-        auto sccs = stronglyConnectedComponents(ddg);
-        for (size_t s = 0; s < sccs.size(); ++s) {
-            if (sccs[s].size() < 2)
-                continue;
-            for (OpId id : sccs[s])
-                scc_of[static_cast<size_t>(id)] =
-                    static_cast<int>(s);
+    int num_sccs = 0;
+    forEachScc(ddg, [&](const OpId *members, size_t n) {
+        if (n >= 2) {
+            for (size_t i = 0; i < n; ++i)
+                scc_of[static_cast<size_t>(members[i])] = num_sccs;
         }
-    }
+        ++num_sccs;
+    });
     auto on_producer_cycle = [&](OpId producer, OpId consumer) {
         if (producer == consumer)
             return true; // self-loop recurrence
@@ -39,12 +37,13 @@ singleUsePrepass(Ddg &ddg, int copy_latency, int max_fanout)
     // satisfy the bound and must not be revisited.
     const int orig_ops = ddg.numOps();
 
+    std::vector<EdgeId> uses;
     for (OpId id = 0; id < orig_ops; ++id) {
         if (!ddg.opLive(id))
             continue;
 
         // Collect live flow uses of this value.
-        std::vector<EdgeId> uses;
+        uses.clear();
         for (EdgeId e : ddg.op(id).outs) {
             if (ddg.edgeLive(e) && ddg.edge(e).kind == DepKind::Flow)
                 uses.push_back(e);
@@ -97,6 +96,8 @@ singleUsePrepass(Ddg &ddg, int copy_latency, int max_fanout)
             OpId cp = ddg.addOp(Opcode::Copy, OpOrigin::CopyOp);
             ddg.op(cp).origId = ddg.op(id).origId;
             ddg.op(cp).iterOffset = ddg.op(id).iterOffset;
+            // A copy ends up with at most max_fanout uses.
+            ddg.op(cp).outs.reserve(static_cast<size_t>(max_fanout));
             int lat = cur == id ? ddg.edge(uses[0]).latency
                                 : copy_latency;
             ddg.addEdge(cur, cp, DepKind::Flow, 0, lat, 0);

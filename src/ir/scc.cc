@@ -1,46 +1,60 @@
 #include "ir/scc.h"
 
 #include <algorithm>
-
-#include "support/diag.h"
+#include <climits>
+#include <vector>
 
 namespace dms {
 
 namespace {
 
-/** Iterative Tarjan SCC (explicit stack; DDGs can be deep). */
-struct TarjanState
+/**
+ * Working storage of one Tarjan walk. One instance per thread is
+ * reused walk after walk; the vectors only grow, so repeated walks
+ * over same-sized graphs allocate nothing.
+ */
+struct TarjanScratch
 {
-    const Ddg &ddg;
-    const std::function<void(const OpId *, size_t)> &emit;
+    struct Frame
+    {
+        OpId v;
+        size_t edge_pos;
+    };
+
     std::vector<int> index;
     std::vector<int> lowlink;
-    std::vector<bool> on_stack;
     std::vector<OpId> stack;
+    std::vector<Frame> frames;
+};
+
+/** Iterative Tarjan SCC (explicit stack; DDGs can be deep). */
+void
+tarjan(const Ddg &ddg, SccVisitor visit, void *ctx, TarjanScratch &s)
+{
+    const size_t n = static_cast<size_t>(ddg.numOps());
+    s.index.assign(n, -1);
+    s.lowlink.assign(n, -1);
+    s.stack.clear();
+    s.frames.clear();
     int next_index = 0;
 
-    TarjanState(const Ddg &g,
-                const std::function<void(const OpId *, size_t)> &fn)
-        : ddg(g), emit(fn),
-          index(static_cast<size_t>(g.numOps()), -1),
-          lowlink(static_cast<size_t>(g.numOps()), -1),
-          on_stack(static_cast<size_t>(g.numOps()), false)
-    {}
-
-    void
-    run(OpId root)
-    {
-        struct Frame { OpId v; size_t edge_pos; };
-        std::vector<Frame> frames;
-        frames.push_back({root, 0});
-        index[static_cast<size_t>(root)] = next_index;
-        lowlink[static_cast<size_t>(root)] = next_index;
+    auto open = [&](OpId v) {
+        size_t vi = static_cast<size_t>(v);
+        s.index[vi] = next_index;
+        s.lowlink[vi] = next_index;
         ++next_index;
-        stack.push_back(root);
-        on_stack[static_cast<size_t>(root)] = true;
+        s.stack.push_back(v);
+        s.frames.push_back({v, 0});
+    };
 
-        while (!frames.empty()) {
-            Frame &f = frames.back();
+    for (OpId root = 0; root < ddg.numOps(); ++root) {
+        if (!ddg.opLive(root) ||
+            s.index[static_cast<size_t>(root)] >= 0) {
+            continue;
+        }
+        open(root);
+        while (!s.frames.empty()) {
+            TarjanScratch::Frame &f = s.frames.back();
             const auto &outs = ddg.op(f.v).outs;
             bool descended = false;
             while (f.edge_pos < outs.size()) {
@@ -50,19 +64,14 @@ struct TarjanState
                     continue;
                 OpId w = ddg.edge(e).dst;
                 size_t wi = static_cast<size_t>(w);
-                if (index[wi] < 0) {
-                    index[wi] = next_index;
-                    lowlink[wi] = next_index;
-                    ++next_index;
-                    stack.push_back(w);
-                    on_stack[wi] = true;
-                    frames.push_back({w, 0});
+                if (s.index[wi] < 0) {
+                    open(w); // invalidates f
                     descended = true;
                     break;
-                } else if (on_stack[wi]) {
-                    size_t vi = static_cast<size_t>(f.v);
-                    lowlink[vi] = std::min(lowlink[vi], index[wi]);
                 }
+                // Emitted ops carry index INT_MAX: no effect.
+                size_t vi = static_cast<size_t>(f.v);
+                s.lowlink[vi] = std::min(s.lowlink[vi], s.index[wi]);
             }
             if (descended)
                 continue;
@@ -70,55 +79,57 @@ struct TarjanState
             // Finished v: pop frame, close SCC if root.
             OpId v = f.v;
             size_t vi = static_cast<size_t>(v);
-            frames.pop_back();
-            if (!frames.empty()) {
-                size_t pi = static_cast<size_t>(frames.back().v);
-                lowlink[pi] = std::min(lowlink[pi], lowlink[vi]);
+            s.frames.pop_back();
+            if (!s.frames.empty()) {
+                size_t pi = static_cast<size_t>(s.frames.back().v);
+                s.lowlink[pi] =
+                    std::min(s.lowlink[pi], s.lowlink[vi]);
             }
-            if (lowlink[vi] == index[vi]) {
+            if (s.lowlink[vi] == s.index[vi]) {
                 // Emit the SCC in place from the Tarjan stack: sort
-                // its segment, hand it to the visitor, then pop.
-                size_t base = stack.size();
+                // its segment, hand it to the visitor, then pop. An
+                // emitted op's index becomes INT_MAX, which takes it
+                // out of every later lowlink minimum (the on-stack
+                // test of textbook Tarjan).
+                size_t base = s.stack.size();
                 while (true) {
                     --base;
-                    on_stack[static_cast<size_t>(stack[base])] =
-                        false;
-                    if (stack[base] == v)
+                    OpId m = s.stack[base];
+                    s.index[static_cast<size_t>(m)] = INT_MAX;
+                    if (m == v)
                         break;
                 }
-                std::sort(stack.begin() +
+                std::sort(s.stack.begin() +
                               static_cast<std::ptrdiff_t>(base),
-                          stack.end());
-                emit(stack.data() + base, stack.size() - base);
-                stack.resize(base);
+                          s.stack.end());
+                visit(ctx, s.stack.data() + base,
+                      s.stack.size() - base);
+                s.stack.resize(base);
             }
-        }
-    }
-};
-
-} // namespace
-
-void
-forEachScc(const Ddg &ddg,
-           const std::function<void(const OpId *, size_t)> &fn)
-{
-    TarjanState st(ddg, fn);
-    for (OpId id = 0; id < ddg.numOps(); ++id) {
-        if (ddg.opLive(id) &&
-            st.index[static_cast<size_t>(id)] < 0) {
-            st.run(id);
         }
     }
 }
 
-std::vector<Scc>
-stronglyConnectedComponents(const Ddg &ddg)
+} // namespace
+
+void
+forEachScc(const Ddg &ddg, SccVisitor visit, void *ctx)
 {
-    std::vector<Scc> sccs;
-    forEachScc(ddg, [&](const OpId *ops, size_t n) {
-        sccs.emplace_back(ops, ops + n);
-    });
-    return sccs;
+    thread_local TarjanScratch shared;
+    thread_local bool busy = false;
+    if (busy) {
+        // Called from inside a visitor: the outer walk still owns
+        // the shared scratch (its members pointer included).
+        TarjanScratch own;
+        tarjan(ddg, visit, ctx, own);
+        return;
+    }
+    busy = true;
+    struct Release
+    {
+        ~Release() { busy = false; } // a throwing visitor included
+    } release;
+    tarjan(ddg, visit, ctx, shared);
 }
 
 bool
@@ -129,11 +140,10 @@ hasRecurrence(const Ddg &ddg)
         if (ddg.edgeActive(e) && ddg.edge(e).src == ddg.edge(e).dst)
             return true;
     }
-    for (const Scc &scc : stronglyConnectedComponents(ddg)) {
-        if (scc.size() > 1)
-            return true;
-    }
-    return false;
+    bool cyclic = false;
+    forEachScc(ddg,
+               [&](const OpId *, size_t n) { cyclic |= n > 1; });
+    return cyclic;
 }
 
 } // namespace dms

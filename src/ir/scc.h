@@ -9,31 +9,41 @@
  * exactly the loops whose DDGs have no non-trivial SCC.
  */
 
-#include <functional>
-#include <vector>
+#include <cstddef>
 
 #include "ir/ddg.h"
 
 namespace dms {
 
-/** One strongly-connected component: the member op ids. */
-using Scc = std::vector<OpId>;
+/** SCC visitor: @p ctx is the caller's, @p members the component. */
+using SccVisitor = void (*)(void *ctx, const OpId *members, size_t n);
 
 /**
- * Visit every SCC in Tarjan emission order without materializing a
- * vector per component: @p fn receives the members sorted
- * ascending, valid only for the duration of the call. This is the
- * allocation-light form recMii (called once per scheduling run,
- * i.e. on the fig5 hot path) iterates.
+ * Visit every SCC over live ops and active edges (every dependence
+ * kind participates; any kind of cycle constrains the II) in Tarjan
+ * emission order. The visitor receives the members sorted
+ * ascending, valid only for the duration of the call.
+ *
+ * The walk runs on per-thread scratch, so in steady state it
+ * allocates nothing. A visitor may start another walk (directly or
+ * through recMii/hasRecurrence): the nested walk gets scratch of its
+ * own and leaves the outer one intact.
  */
-void forEachScc(const Ddg &ddg,
-                const std::function<void(const OpId *, size_t)> &fn);
+void forEachScc(const Ddg &ddg, SccVisitor visit, void *ctx);
 
-/**
- * All SCCs over live ops and active edges (every dependence kind
- * participates; any kind of cycle constrains the II).
- */
-std::vector<Scc> stronglyConnectedComponents(const Ddg &ddg);
+/** forEachScc for any callable taking (const OpId *, size_t). */
+template <typename Fn>
+void
+forEachScc(const Ddg &ddg, Fn &&fn)
+{
+    auto *target = &fn;
+    forEachScc(
+        ddg,
+        [](void *ctx, const OpId *members, size_t n) {
+            (*static_cast<decltype(target)>(ctx))(members, n);
+        },
+        const_cast<void *>(static_cast<const void *>(target)));
+}
 
 /** True if the DDG contains a dependence cycle (a recurrence). */
 bool hasRecurrence(const Ddg &ddg);

@@ -13,10 +13,13 @@ unrollDdg(const Ddg &ddg, int factor)
     Ddg out;
     out.setUnrollFactor(factor);
 
-    // new id of (original op, copy j); -1 for dead originals.
-    std::vector<std::vector<OpId>> ids(
-        static_cast<size_t>(ddg.numOps()),
-        std::vector<OpId>(static_cast<size_t>(factor), kInvalidOp));
+    // new id of (original op, copy j) at [op * factor + j];
+    // kInvalidOp for dead originals.
+    std::vector<OpId> ids(static_cast<size_t>(ddg.numOps() * factor),
+                          kInvalidOp);
+    auto idOf = [&](OpId op, int j) -> OpId & {
+        return ids[static_cast<size_t>(op * factor + j)];
+    };
 
     for (OpId id = 0; id < ddg.numOps(); ++id) {
         if (!ddg.opLive(id))
@@ -32,7 +35,10 @@ unrollDdg(const Ddg &ddg, int factor)
             n.memStream = o.memStream;
             n.memOffset = o.memOffset;
             n.literal = o.literal;
-            ids[static_cast<size_t>(id)][static_cast<size_t>(j)] = nid;
+            // Every copy gets exactly the original's degree.
+            n.ins.reserve(o.ins.size());
+            n.outs.reserve(o.outs.size());
+            idOf(id, j) = nid;
         }
     }
 
@@ -48,12 +54,8 @@ unrollDdg(const Ddg &ddg, int factor)
             int jp = ((j - ed.distance) % factor + factor) % factor;
             int ndist = (ed.distance - j + jp) / factor;
             DMS_ASSERT(ndist >= 0, "negative unrolled distance");
-            OpId src =
-                ids[static_cast<size_t>(ed.src)][static_cast<size_t>(jp)];
-            OpId dst =
-                ids[static_cast<size_t>(ed.dst)][static_cast<size_t>(j)];
-            out.addEdge(src, dst, ed.kind, ndist, ed.latency,
-                        ed.operandIndex);
+            out.addEdge(idOf(ed.src, jp), idOf(ed.dst, j), ed.kind,
+                        ndist, ed.latency, ed.operandIndex);
         }
     }
 

@@ -1,6 +1,8 @@
 #include "sched/mii.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <vector>
 
 #include "ir/scc.h"
 #include "support/diag.h"
@@ -38,22 +40,22 @@ namespace {
  * reallocate per probe.
  */
 bool
-hasPositiveCycle(const Ddg &ddg, const Scc &scc, int ii,
+hasPositiveCycle(const Ddg &ddg, const OpId *scc, size_t n, int ii,
                  const std::vector<int> &dense,
                  std::vector<std::int64_t> &dist)
 {
-    dist.assign(scc.size(), 0);
-    for (size_t pass = 0; pass <= scc.size(); ++pass) {
+    dist.assign(n, 0);
+    for (size_t pass = 0; pass <= n; ++pass) {
         bool changed = false;
-        for (OpId u : scc) {
-            for (EdgeId e : ddg.op(u).outs) {
+        for (const OpId *u = scc; u != scc + n; ++u) {
+            for (EdgeId e : ddg.op(*u).outs) {
                 if (!ddg.edgeActive(e))
                     continue;
                 const Edge &ed = ddg.edge(e);
                 int vi = dense[static_cast<size_t>(ed.dst)];
                 if (vi < 0)
                     continue;
-                int ui = dense[static_cast<size_t>(u)];
+                int ui = dense[static_cast<size_t>(*u)];
                 std::int64_t w = ed.latency -
                     static_cast<std::int64_t>(ii) * ed.distance;
                 if (dist[static_cast<size_t>(ui)] + w >
@@ -73,12 +75,18 @@ hasPositiveCycle(const Ddg &ddg, const Scc &scc, int ii,
 } // namespace
 
 int
-recMii(const Ddg &ddg)
+recMii(const Ddg &ddg, bool *has_recurrence)
 {
+    // Per-thread probe scratch: the SCC walk never calls back into
+    // recMii, so one instance per thread is never shared. `dense`
+    // is all -1 between SCCs (each SCC undoes its own entries).
+    thread_local std::vector<int> dense;
+    thread_local std::vector<std::int64_t> dist;
+    if (dense.size() < static_cast<size_t>(ddg.numOps()))
+        dense.resize(static_cast<size_t>(ddg.numOps()), -1);
+
     int best = 1;
-    std::vector<int> dense;
-    std::vector<std::int64_t> dist;
-    Scc scc;
+    bool any_cycle = false;
     forEachScc(ddg, [&](const OpId *members, size_t n) {
         // Trivial SCCs constrain only via self-loops.
         bool cyclic = n > 1;
@@ -93,10 +101,10 @@ recMii(const Ddg &ddg)
         }
         if (!cyclic)
             return;
-        scc.assign(members, members + n);
+        any_cycle = true;
 
-        for (OpId u : scc) {
-            for (EdgeId e : ddg.op(u).outs) {
+        for (size_t i = 0; i < n; ++i) {
+            for (EdgeId e : ddg.op(members[i]).outs) {
                 if (ddg.edgeActive(e))
                     lat_sum += ddg.edge(e).latency;
             }
@@ -104,29 +112,31 @@ recMii(const Ddg &ddg)
 
         // Dense op -> SCC index map, shared by every probe of the
         // binary search and undone per SCC (SCCs are disjoint).
-        if (dense.empty())
-            dense.assign(static_cast<size_t>(ddg.numOps()), -1);
-        for (size_t i = 0; i < scc.size(); ++i)
-            dense[static_cast<size_t>(scc[i])] = static_cast<int>(i);
+        for (size_t i = 0; i < n; ++i) {
+            dense[static_cast<size_t>(members[i])] =
+                static_cast<int>(i);
+        }
 
         // Binary search the smallest feasible II for this SCC.
         int lo = best;
         int hi = std::max<int>(lo,
             static_cast<int>(std::min<std::int64_t>(lat_sum, 1 << 20)));
-        while (hasPositiveCycle(ddg, scc, hi, dense, dist))
+        while (hasPositiveCycle(ddg, members, n, hi, dense, dist))
             hi *= 2;
         while (lo < hi) {
             int mid = lo + (hi - lo) / 2;
-            if (hasPositiveCycle(ddg, scc, mid, dense, dist))
+            if (hasPositiveCycle(ddg, members, n, mid, dense, dist))
                 lo = mid + 1;
             else
                 hi = mid;
         }
         best = std::max(best, lo);
 
-        for (OpId u : scc)
-            dense[static_cast<size_t>(u)] = -1;
+        for (size_t i = 0; i < n; ++i)
+            dense[static_cast<size_t>(members[i])] = -1;
     });
+    if (has_recurrence != nullptr)
+        *has_recurrence = any_cycle;
     return best;
 }
 

@@ -29,9 +29,10 @@ int resMii(const Ddg &ddg, const MachineModel &machine);
  * dependence cycle has positive slack requirement, i.e. for every
  * elementary cycle, sum(latency) <= II * sum(distance). Computed
  * per SCC by binary search over II with positive-cycle detection
- * (Bellman-Ford). Returns 1 for acyclic DDGs.
+ * (Bellman-Ford). Returns 1 for acyclic DDGs; @p has_recurrence,
+ * when given, tells the two apart from the same SCC walk.
  */
-int recMii(const Ddg &ddg);
+int recMii(const Ddg &ddg, bool *has_recurrence = nullptr);
 
 /** max(resMii, recMii). */
 int minII(const Ddg &ddg, const MachineModel &machine);

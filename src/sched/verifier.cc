@@ -1,7 +1,7 @@
 #include "sched/verifier.h"
 
-#include <map>
-#include <tuple>
+#include <algorithm>
+#include <cstdint>
 
 #include "support/diag.h"
 
@@ -16,9 +16,17 @@ namespace {
 bool
 movePathExists(const Ddg &ddg, OpId src, OpId dst)
 {
-    std::vector<OpId> stack{src};
-    std::vector<bool> seen(static_cast<size_t>(ddg.numOps()), false);
-    seen[static_cast<size_t>(src)] = true;
+    // Per-thread DFS scratch; `seen` holds the stamp of the last
+    // search that reached each op, so nothing is cleared between
+    // searches.
+    thread_local std::vector<OpId> stack;
+    thread_local std::vector<std::uint64_t> seen;
+    thread_local std::uint64_t stamp = 0;
+    ++stamp;
+    if (seen.size() < static_cast<size_t>(ddg.numOps()))
+        seen.resize(static_cast<size_t>(ddg.numOps()), 0);
+    stack.assign(1, src);
+    seen[static_cast<size_t>(src)] = stamp;
     while (!stack.empty()) {
         OpId u = stack.back();
         stack.pop_back();
@@ -30,9 +38,9 @@ movePathExists(const Ddg &ddg, OpId src, OpId dst)
             OpId v = ddg.edge(e).dst;
             if (v == dst)
                 return true;
-            if (!seen[static_cast<size_t>(v)] &&
+            if (seen[static_cast<size_t>(v)] != stamp &&
                 ddg.op(v).origin == OpOrigin::MoveOp) {
-                seen[static_cast<size_t>(v)] = true;
+                seen[static_cast<size_t>(v)] = stamp;
                 stack.push_back(v);
             }
         }
@@ -53,8 +61,17 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
     const int ii = ps.ii();
     const bool comm = opts.checkCommunication && machine.clustered();
 
-    // Placements and reservation consistency.
-    std::map<std::tuple<ClusterId, int, int, int>, OpId> slots;
+    // Placements and reservation consistency. A flat table indexed
+    // by (cluster, class, instance, row) records the first op to
+    // claim each slot.
+    int max_fus = 0;
+    for (int cls = 0; cls < kNumFuClasses; ++cls)
+        max_fus = std::max(
+            max_fus, machine.fusPerCluster(static_cast<FuClass>(cls)));
+    std::vector<OpId> slots(static_cast<size_t>(machine.numClusters() *
+                                                kNumFuClasses *
+                                                max_fus * ii),
+                            kInvalidOp);
     for (OpId id = 0; id < ddg.numOps(); ++id) {
         if (!ddg.opLive(id))
             continue;
@@ -80,19 +97,27 @@ verifySchedule(const Ddg &ddg, const MachineModel &machine,
                             ddg.opLabel(id).c_str(), p.fuInstance));
             continue;
         }
-        auto key = std::make_tuple(p.cluster,
-                                   static_cast<int>(cls),
-                                   p.fuInstance, p.time % ii);
-        auto [it, inserted] = slots.emplace(key, id);
-        if (!inserted) {
+        // A negative time leaves a negative row: no slot here, and
+        // the reservation lookup below panics on it.
+        const int row = p.time % ii;
+        OpId owner = id;
+        if (row >= 0) {
+            OpId &slot = slots[static_cast<size_t>(
+                ((p.cluster * kNumFuClasses + static_cast<int>(cls)) *
+                     max_fus +
+                 p.fuInstance) * ii + row)];
+            if (slot == kInvalidOp)
+                slot = id;
+            owner = slot;
+        }
+        if (owner != id) {
             complain(strfmt("%s and %s share slot (c%d,%s,%d,row%d)",
                             ddg.opLabel(id).c_str(),
-                            ddg.opLabel(it->second).c_str(), p.cluster,
-                            fuClassName(cls), p.fuInstance,
-                            p.time % ii));
+                            ddg.opLabel(owner).c_str(), p.cluster,
+                            fuClassName(cls), p.fuInstance, row));
         }
         OpId rt_occ = ps.reservations().at(p.cluster, cls,
-                                           p.fuInstance, p.time % ii);
+                                           p.fuInstance, row);
         if (rt_occ != id) {
             complain(strfmt("reservation table holds op%d where %s "
                             "is placed", rt_occ,

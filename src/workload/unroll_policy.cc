@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "ir/scc.h"
 #include "ir/unroll.h"
 #include "sched/mii.h"
 #include "support/diag.h"
@@ -15,7 +14,9 @@ chooseUnrollFactor(const Ddg &ddg, const MachineModel &machine,
 {
     // recMii() floors at 1 even for acyclic bodies; only a real
     // recurrence scales with the unroll factor.
-    const int rec = hasRecurrence(ddg) ? recMii(ddg) : 0;
+    bool cyclic = false;
+    const int bound = recMii(ddg, &cyclic);
+    const int rec = cyclic ? bound : 0;
     const std::vector<int> counts = ddg.opCountByClass();
 
     double best_rate = 0.0;

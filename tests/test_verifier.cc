@@ -205,5 +205,167 @@ TEST(Verifier, CheckScheduleDiesOnIllegal)
                  "illegal schedule");
 }
 
+/**
+ * Overwrite a placement behind the schedule's back. PartialSchedule's
+ * API only ever records legal placements (non-negative times, real
+ * clusters and instances, one op per slot), so the table below forges
+ * the broken ones it needs by writing through placement(); the
+ * placements are mutable state of a non-const schedule.
+ */
+Placement &
+forge(PartialSchedule &ps, OpId op)
+{
+    return const_cast<Placement &>(ps.placement(op));
+}
+
+/** One hand-broken schedule and the exact problems it must yield. */
+struct BrokenCase
+{
+    const char *name;
+    std::vector<std::string> (*problems)();
+    std::vector<std::string> expected;
+};
+
+/**
+ * Pins verifySchedule's full output — wording, order and count — on
+ * one schedule per class of illegality, so a rewrite of its
+ * bookkeeping (the slot table in particular) cannot shift a message.
+ */
+const BrokenCase kBrokenCases[] = {
+    {"legal",
+     [] {
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 2, 1));
+         EXPECT_TRUE(ps.tryPlace(f.st, 3, 1));
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {}},
+    {"doubly-occupied slot",
+     [] {
+         // The store moves onto the load's (c0, L/S, 0, row 0) slot;
+         // the reservation table still holds it in row 1.
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 2, 0));
+         EXPECT_TRUE(ps.tryPlace(f.st, 3, 0));
+         forge(ps, f.st).time = 4;
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {"op2:store and op0:load share slot (c0,LS,0,row0)",
+      "reservation table holds op0 where op2:store is placed"}},
+    {"negative time",
+     [] {
+         // -2 lands in row 0 at II 2, where the table holds the load,
+         // so only the time itself is wrong.
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 2, 1));
+         EXPECT_TRUE(ps.tryPlace(f.st, 3, 1));
+         forge(ps, f.ld).time = -2;
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {"op0:load at negative time -2"}},
+    {"negative time in a shared slot",
+     [] {
+         // Both the load and the store claim (c0, L/S, 0, row 0); the
+         // load, first in op order, owns it.
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 2, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 4, 0));
+         EXPECT_TRUE(ps.tryPlace(f.st, 5, 0));
+         forge(ps, f.ld).time = -4;
+         forge(ps, f.st).time = 6;
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {"op0:load at negative time -4",
+      "op2:store and op0:load share slot (c0,LS,0,row0)",
+      "reservation table holds op0 where op2:store is placed"}},
+    {"bad cluster",
+     [] {
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 2, 1));
+         EXPECT_TRUE(ps.tryPlace(f.st, 3, 1));
+         forge(ps, f.ad).cluster = 7;
+         VerifyOptions opts;
+         opts.checkCommunication = false;
+         return verifySchedule(f.ddg, f.machine, ps, opts);
+     },
+     {"op1:add in bad cluster 7"}},
+    {"bad FU instance",
+     [] {
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 2, 1));
+         EXPECT_TRUE(ps.tryPlace(f.st, 3, 1));
+         forge(ps, f.ad).fuInstance = 5;
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {"op1:add on bad FU instance 5"}},
+    {"violated edge",
+     [] {
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 1, 0));
+         EXPECT_TRUE(ps.tryPlace(f.st, 5, 0));
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {"edge op0:load->op1:add (flow,d=0,l=2) violated: 1 < 2"}},
+    {"replaced edge without a move chain",
+     [] {
+         Fixture f;
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         f.ddg.markReplaced(0);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 2, 2));
+         EXPECT_TRUE(ps.tryPlace(f.st, 3, 2));
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {"replaced edge op0:load->op1:add has no live move chain"}},
+    {"move two hops from its consumer",
+     [] {
+         Fixture f;
+         f.ddg.markReplaced(0);
+         OpId mv = f.ddg.addOp(Opcode::Move, OpOrigin::MoveOp);
+         f.ddg.addEdge(f.ld, mv, DepKind::Flow, 0, 2, 0);
+         f.ddg.addEdge(mv, f.ad, DepKind::Flow, 0, 1, 0);
+         PartialSchedule ps(f.ddg, f.machine, 2);
+         EXPECT_TRUE(ps.tryPlace(f.ld, 0, 0));
+         EXPECT_TRUE(ps.tryPlace(mv, 2, 1));
+         EXPECT_TRUE(ps.tryPlace(f.ad, 3, 3));
+         EXPECT_TRUE(ps.tryPlace(f.st, 4, 3));
+         return verifySchedule(f.ddg, f.machine, ps);
+     },
+     {"flow edge op3:move(c1)->op1:add(c3) spans distance 2",
+      "op3:move not one hop from its consumer"}},
+};
+
+TEST(VerifierTable, BrokenSchedulesYieldExactProblems)
+{
+    for (const BrokenCase &c : kBrokenCases)
+        EXPECT_EQ(c.problems(), c.expected) << c.name;
+}
+
+TEST(VerifierTable, NegativeRowPanicsInTheReservationLookup)
+{
+    // -3 % 2 == -1: the table lookup rejects the row before any
+    // slot bookkeeping could index with it.
+    Fixture f;
+    PartialSchedule ps(f.ddg, f.machine, 2);
+    ASSERT_TRUE(ps.tryPlace(f.ld, 0, 0));
+    ASSERT_TRUE(ps.tryPlace(f.ad, 2, 1));
+    ASSERT_TRUE(ps.tryPlace(f.st, 3, 1));
+    forge(ps, f.ld).time = -3;
+    EXPECT_DEATH(verifySchedule(f.ddg, f.machine, ps), "bad row -1");
+}
+
 } // namespace
 } // namespace dms
