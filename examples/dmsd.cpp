@@ -39,9 +39,6 @@
  *                      non-blocking trySubmit path, rejecting when
  *                      the queue stays full this long (default:
  *                      blocking submit)
- *   --stats-out FILE   load-gen: write the final ServeStats
- *                      snapshot in the `servestats v1` text form
- *                      (lintable with dmslint)
  *   --metrics-out FILE write the final metrics snapshot in the
  *                      `dmsmetrics v1` text form (lintable with
  *                      dmslint); over the wire in --connect mode
@@ -360,8 +357,7 @@ int
 runLoadGenerator(CompileService &service, int total, int clients,
                  int hot_percent, std::uint64_t seed,
                  const RequestContext &rc,
-                 const RetryPolicy &policy,
-                 const std::string &stats_out)
+                 const RetryPolicy &policy)
 {
     // Hot set: the named kernels, zipf-weighted so a few kernels
     // dominate — the "hot kernels repeat" half of the mix. Cold
@@ -394,8 +390,6 @@ runLoadGenerator(CompileService &service, int total, int clients,
                 res.count(CompileStatus::Rejected),
                 res.count(CompileStatus::Quarantined));
     printStats(service);
-    if (!stats_out.empty())
-        writeTextFile(stats_out, serveStatsToText(service.stats()));
     // Under an armed fault plan, fault-driven failures are the
     // point of the run: the daemon surviving them *is* the pass.
     // Invalid requests still fail the run — the mix generator
@@ -416,7 +410,6 @@ onShutdownSignal(int)
 
 int
 runDaemon(CompileService &service, int port,
-          const std::string &stats_out,
           const std::string &metrics_out,
           const std::string &trace_out)
 {
@@ -441,11 +434,9 @@ runDaemon(CompileService &service, int port,
     // lines, join every connection; the service destructor then
     // drains the compile queue. Exit 0 is the contract CI greps.
     server.stop();
-    ServeStats s = server.stats();
-    printStatsSnapshot(s);
-    if (!stats_out.empty())
-        writeTextFile(stats_out, serveStatsToText(s));
-    emitObsArtifacts(server.metrics(), metrics_out, trace_out);
+    const obs::MetricsSnapshot metrics = server.metrics();
+    printStatsSnapshot(serveStatsFromMetrics(metrics));
+    emitObsArtifacts(metrics, metrics_out, trace_out);
     return 0;
 }
 
@@ -455,7 +446,6 @@ runNetworkLoadGenerator(const std::string &host, int port,
                         std::uint64_t seed,
                         const RequestContext &rc,
                         const RetryPolicy &policy,
-                        const std::string &stats_out,
                         const std::string &metrics_out,
                         const std::string &trace_out)
 {
@@ -496,42 +486,27 @@ runNetworkLoadGenerator(const std::string &host, int port,
                 resolved, res.requests, res.rps(), res.p50Ms,
                 res.p99Ms);
 
-    // Pull the daemon's stats over the wire: the same snapshot the
-    // `stats` verb serves, so the hit-rate lines CI greps (and the
-    // --stats-out artifact dmslint audits) come from the server's
-    // counters, not the client's.
+    // Pull the daemon's metrics over the wire, so the hit-rate
+    // lines CI greps (and the --metrics-out artifact dmslint
+    // audits) come from the server's counters, not the client's.
+    // The trace body is empty unless the *daemon* runs under
+    // DMS_TRACE=1.
     NetClient nc;
     std::string error;
     if (!nc.connect(host, port, 5000, error)) {
-        warn("stats fetch: %s", error.c_str());
+        warn("metrics fetch: %s", error.c_str());
     } else {
         std::string text;
-        if (!nc.fetchStats(text, error)) {
-            warn("stats fetch: %s", error.c_str());
+        obs::MetricsSnapshot metrics;
+        if (!nc.fetchMetrics(text, error) ||
+            !obs::metricsFromText(text, metrics, error)) {
+            warn("metrics fetch: %s", error.c_str());
         } else {
-            ServeStats s;
-            std::string perr;
-            if (serveStatsFromText(text, s, perr))
-                printStatsSnapshot(s);
-            else
-                warn("stats fetch: %s", perr.c_str());
-            if (!stats_out.empty())
-                writeTextFile(stats_out, text);
-        }
-        // Metrics and traces come over the same wire verbs the
-        // server serves to everyone; the trace body is empty
-        // unless the *daemon* runs under DMS_TRACE=1.
-        if (!metrics_out.empty() ||
-            envInt("DMS_METRICS", 0, 0) > 0) {
-            std::string mtext;
-            if (!nc.fetchMetrics(mtext, error)) {
-                warn("metrics fetch: %s", error.c_str());
-            } else {
-                if (envInt("DMS_METRICS", 0, 0) > 0)
-                    std::fputs(mtext.c_str(), stdout);
-                if (!metrics_out.empty())
-                    writeTextFile(metrics_out, mtext);
-            }
+            printStatsSnapshot(serveStatsFromMetrics(metrics));
+            if (envInt("DMS_METRICS", 0, 0) > 0)
+                std::fputs(text.c_str(), stdout);
+            if (!metrics_out.empty())
+                writeTextFile(metrics_out, text);
         }
         if (!trace_out.empty()) {
             std::string ttext;
@@ -568,7 +543,6 @@ main(int argc, char **argv)
     int listen_port = -1;
     std::string connect_to;
     RetryPolicy policy;
-    std::string stats_out;
     std::string metrics_out;
     std::string trace_out;
 
@@ -615,8 +589,6 @@ main(int argc, char **argv)
             listen_port = nextInt();
         else if (a == "--connect")
             connect_to = next();
-        else if (a == "--stats-out")
-            stats_out = next();
         else if (a == "--metrics-out")
             metrics_out = next();
         else if (a == "--trace-out")
@@ -662,7 +634,7 @@ main(int argc, char **argv)
             std::max(clients, 1),
             std::clamp(hot_percent, 0, 100),
             static_cast<std::uint64_t>(seed), rc, policy,
-            stats_out, metrics_out, trace_out);
+            metrics_out, trace_out);
     }
 
     ServeOptions opts = ServeOptions::fromEnv();
@@ -676,8 +648,8 @@ main(int argc, char **argv)
                 evictPolicyName(opts.eviction));
 
     if (listen_port >= 0)
-        return runDaemon(service, listen_port, stats_out,
-                         metrics_out, trace_out);
+        return runDaemon(service, listen_port, metrics_out,
+                         trace_out);
 
     int code;
     if (!script.empty())
@@ -686,8 +658,7 @@ main(int argc, char **argv)
         code = runLoadGenerator(
             service, load, std::max(clients, 1),
             std::clamp(hot_percent, 0, 100),
-            static_cast<std::uint64_t>(seed), rc, policy,
-            stats_out);
+            static_cast<std::uint64_t>(seed), rc, policy);
     emitObsArtifacts(service.metrics(), metrics_out, trace_out);
     return code;
 }

@@ -6,12 +6,18 @@
  * first principles — summing histogram buckets instead of trusting
  * the count field, re-walking the span tree instead of trusting
  * the writer's nesting — so a bookkeeping bug in the metrics
- * registry or the tracer cannot certify its own output. Locations
+ * registry or the tracer cannot certify its own output. The metrics
+ * check also re-derives the compile service's and the network
+ * front-end's accounting identities (which submit outcomes exist,
+ * which worker outcomes can make up the difference), so the
+ * service cannot certify its own counters either. Locations
  * carry the 1-based line of the offending metric line / span event
  * when the text is available.
  */
 
 #include <cmath>
+#include <optional>
+#include <string_view>
 
 #include "analysis/builtin_checks.h"
 #include "analysis/lint_util.h"
@@ -121,23 +127,99 @@ class MetricsConsistencyCheck final : public BuiltinCheck
                             h.hist.maxMs));
         }
 
+        // The counter identities below only hold between metrics
+        // that are all in the snapshot; a hand-written snapshot
+        // with some of them absent audits the rest.
+        const auto counter = [metrics](std::string_view name)
+            -> std::optional<std::uint64_t> {
+            const auto *c = metrics->findCounter(name);
+            if (c == nullptr)
+                return std::nullopt;
+            return c->value;
+        };
+        const auto gauge = [metrics](std::string_view name)
+            -> std::optional<double> {
+            const auto *g = metrics->findGauge(name);
+            if (g == nullptr)
+                return std::nullopt;
+            return g->value;
+        };
+        const auto u = [](std::uint64_t v) {
+            return static_cast<unsigned long long>(v);
+        };
+
         // A latency sample exists per resolved request: the serve
         // histogram can never hold more samples than requests were
         // ever made (the snapshot reads the histogram first, so a
         // torn concurrent snapshot errs in the safe direction).
-        const auto *requests =
-            metrics->findCounter("serve.requests");
+        const auto requests = counter("serve.requests");
         const auto *latency =
             metrics->findHistogram("serve.latency_ms");
-        if (requests != nullptr && latency != nullptr &&
-            latency->hist.count > requests->value)
+        if (requests && latency != nullptr &&
+            latency->hist.count > *requests)
             flag("serve.latency_ms",
                  strfmt("serve.latency_ms holds %llu samples but "
                         "only %llu requests were made",
-                        static_cast<unsigned long long>(
-                            latency->hist.count),
-                        static_cast<unsigned long long>(
-                            requests->value)));
+                        u(latency->hist.count), u(*requests)));
+
+        // Every submit reaches at most one exclusive outcome: hit,
+        // coalesced, miss (queued, or shed after counting as a
+        // miss), invalid or quarantined. A submit-path fault can
+        // bypass them all and surface as a Failed/Expired
+        // resolution instead, so the outcomes may undershoot
+        // requests, but never by more than failed + expired, and
+        // never overshoot.
+        const auto hits = counter("serve.hits");
+        const auto coalesced = counter("serve.coalesced");
+        const auto misses = counter("serve.misses");
+        const auto invalid = counter("serve.invalid");
+        const auto quarantined = counter("serve.quarantined");
+        const auto failed = counter("serve.failed");
+        const auto expired = counter("serve.expired");
+        if (requests && hits && coalesced && misses && invalid &&
+            quarantined && failed && expired) {
+            const std::uint64_t outcomes =
+                *hits + *coalesced + *misses + *invalid +
+                *quarantined;
+            if (outcomes > *requests)
+                flag("serve.requests",
+                     strfmt("submit outcomes sum to %llu but only "
+                            "%llu requests were made",
+                            u(outcomes), u(*requests)));
+            else if (*requests - outcomes > *failed + *expired)
+                flag("serve.requests",
+                     strfmt("%llu requests have no recorded "
+                            "outcome (outcomes %llu + failed %llu "
+                            "+ expired %llu cannot cover them)",
+                            u(*requests - outcomes), u(outcomes),
+                            u(*failed), u(*expired)));
+        }
+
+        // Shedding happens after the miss was counted: every shed
+        // request is a subset of the misses.
+        const auto shed = counter("serve.shed");
+        if (shed && misses && *shed > *misses)
+            flag("serve.shed",
+                 strfmt("shed %llu exceeds misses %llu, but a "
+                        "request is only shed after counting as a "
+                        "miss",
+                        u(*shed), u(*misses)));
+
+        // The queue never holds more than its configured bound,
+        // and never more than its recorded high-water mark.
+        const auto depth = gauge("serve.queue_depth");
+        const auto peak = gauge("serve.queue_depth_peak");
+        const auto capacity = gauge("serve.queue_capacity");
+        if (peak && capacity && *capacity > 0 && *peak > *capacity)
+            flag("serve.queue_depth_peak",
+                 strfmt("peak queue depth %g exceeds the configured "
+                        "capacity %g",
+                        *peak, *capacity));
+        if (depth && peak && *depth > *peak)
+            flag("serve.queue_depth",
+                 strfmt("current queue depth %g exceeds the "
+                        "recorded peak %g",
+                        *depth, *peak));
 
         // Fault-injection pairs: a site only fires on a hit.
         for (const auto &c : metrics->counters) {
@@ -161,21 +243,41 @@ class MetricsConsistencyCheck final : public BuiltinCheck
                                 hits->value)));
         }
 
-        // Network identity (mirrors serve.stats-consistency):
-        // every framing reject was a counted request line.
-        const auto *net_requests =
-            metrics->findCounter("net.requests");
-        const auto *net_rejects =
-            metrics->findCounter("net.framing_rejects");
-        if (net_requests != nullptr && net_rejects != nullptr &&
-            net_rejects->value > net_requests->value)
+        // Network front-end identities. Every framing reject is
+        // both a counted request line and routed through the
+        // service as an unparseable (invalid) request. Request
+        // lines only exist on accepted connections, and every
+        // counted line was read off the wire: at least its newline
+        // byte is in net.bytes_in.
+        const auto net_requests = counter("net.requests");
+        const auto net_rejects = counter("net.framing_rejects");
+        const auto net_connections = counter("net.connections");
+        const auto net_bytes_in = counter("net.bytes_in");
+        if (net_requests && net_rejects &&
+            *net_rejects > *net_requests)
             flag("net.framing_rejects",
                  strfmt("framing rejects %llu exceed request "
                         "lines %llu",
-                        static_cast<unsigned long long>(
-                            net_rejects->value),
-                        static_cast<unsigned long long>(
-                            net_requests->value)));
+                        u(*net_rejects), u(*net_requests)));
+        if (net_rejects && invalid && *net_rejects > *invalid)
+            flag("net.framing_rejects",
+                 strfmt("framing rejects %llu exceed invalid "
+                        "requests %llu, but every framing reject "
+                        "is submitted as an invalid request",
+                        u(*net_rejects), u(*invalid)));
+        if (net_requests && net_connections && *net_requests > 0 &&
+            *net_connections == 0)
+            flag("net.requests",
+                 strfmt("%llu request lines arrived over zero "
+                        "connections",
+                        u(*net_requests)));
+        if (net_requests && net_bytes_in &&
+            *net_bytes_in < *net_requests)
+            flag("net.bytes_in",
+                 strfmt("net bytes in %llu is below the request "
+                        "line count %llu (every line carries at "
+                        "least its newline)",
+                        u(*net_bytes_in), u(*net_requests)));
     }
 };
 

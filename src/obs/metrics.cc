@@ -85,22 +85,36 @@ MetricsSnapshot::sortByName()
     std::sort(histograms.begin(), histograms.end(), byName);
 }
 
-const MetricsSnapshot::CounterValue *
-MetricsSnapshot::findCounter(const std::string &name) const
+namespace {
+
+template <typename Value>
+const Value *
+findByName(const std::vector<Value> &section, std::string_view name)
 {
-    for (const CounterValue &c : counters)
-        if (c.name == name)
-            return &c;
+    for (const Value &v : section)
+        if (v.name == name)
+            return &v;
     return nullptr;
 }
 
-const MetricsSnapshot::HistogramValue *
-MetricsSnapshot::findHistogram(const std::string &name) const
+} // namespace
+
+const MetricsSnapshot::CounterValue *
+MetricsSnapshot::findCounter(std::string_view name) const
 {
-    for (const HistogramValue &h : histograms)
-        if (h.name == name)
-            return &h;
-    return nullptr;
+    return findByName(counters, name);
+}
+
+const MetricsSnapshot::GaugeValue *
+MetricsSnapshot::findGauge(std::string_view name) const
+{
+    return findByName(gauges, name);
+}
+
+const MetricsSnapshot::HistogramValue *
+MetricsSnapshot::findHistogram(std::string_view name) const
+{
+    return findByName(histograms, name);
 }
 
 struct MetricsRegistry::Impl

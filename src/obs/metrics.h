@@ -4,8 +4,9 @@
 /**
  * @file
  * The metrics registry: named counters, gauges and latency
- * histograms behind one canonical text format ("dmsmetrics v1"),
- * the same round-trip discipline as serveStatsToText.
+ * histograms behind one canonical text format ("dmsmetrics v1").
+ * It is the service's one telemetry model: ServeStats
+ * (serve/service.h) is a typed view computed from a snapshot.
  *
  * Cells are registered once (service construction, single-
  * threaded) and then touched lock-free: a Counter::inc is one
@@ -28,13 +29,15 @@
  * byte-identical for canonical @p t. dmslint's
  * obs.metrics-consistency checker audits the conservation laws
  * (per-histogram sum(buckets) == count, latency samples never
- * exceeding serve.requests).
+ * exceeding serve.requests) and the serve.* / net.* accounting
+ * identities.
  */
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/histogram.h"
@@ -113,10 +116,10 @@ struct MetricsSnapshot
     /** Sort every section by name (the canonical order). */
     void sortByName();
 
-    /** Pointer into counters by name; null when absent. */
-    const CounterValue *findCounter(const std::string &name) const;
-    const HistogramValue *
-    findHistogram(const std::string &name) const;
+    /** Pointer into a section by name; null when absent. */
+    const CounterValue *findCounter(std::string_view name) const;
+    const GaugeValue *findGauge(std::string_view name) const;
+    const HistogramValue *findHistogram(std::string_view name) const;
 };
 
 /**

@@ -958,41 +958,7 @@ CompileService::recordLatencyMs(double ms)
 ServeStats
 CompileService::stats() const
 {
-    ServeStats out;
-    // The whole snapshot is relaxed atomic reads — no lock is
-    // taken and no sample store is copied, so concurrent
-    // compile()/submit() traffic never stalls on a stats poll
-    // (the stats_snapshot_ns bench row measures this). The
-    // histogram is swept before the counters so its sample count
-    // can never exceed the request count it is compared against.
-    const obs::HistogramSnapshot latencies =
-        impl_->latenciesMs.snapshot();
-    out.requests = impl_->requests.value();
-    out.hits = impl_->hits.value();
-    out.coalesced = impl_->coalesced.value();
-    out.misses = impl_->misses.value();
-    out.invalid = impl_->invalid.value();
-    out.failed = impl_->failed.value();
-    out.expired = impl_->expired.value();
-    out.shed = impl_->shed.value();
-    out.quarantined = impl_->quarantined.value();
-    out.rejected = out.shed + out.quarantined;
-    out.latencySamples = latencies.count;
-    out.p50Ms = latencies.percentile(50);
-    out.p90Ms = latencies.percentile(90);
-    out.p99Ms = latencies.percentile(99);
-    out.maxMs = latencies.maxMs;
-    out.meanMs = latencies.mean();
-    out.evictions = impl_->cache.evictions() +
-                    impl_->aliases.evictions();
-    out.retired =
-        impl_->cache.retired() + impl_->aliases.retired();
-    out.cached = impl_->cache.size();
-    out.degraded = impl_->degraded.load(std::memory_order_relaxed);
-    out.queueDepth = impl_->queue.depth();
-    out.peakQueueDepth = impl_->queue.peak();
-    out.queueCapacity = opts_.queueDepth;
-    return out;
+    return serveStatsFromMetrics(metrics());
 }
 
 obs::MetricsSnapshot
@@ -1028,129 +994,51 @@ CompileService::metrics() const
     return snap;
 }
 
-std::string
-serveStatsToText(const ServeStats &stats)
+ServeStats
+serveStatsFromMetrics(const obs::MetricsSnapshot &metrics)
 {
-    std::string out = "servestats v1\n";
-    const auto line = [&out](const char *key, std::uint64_t v) {
-        out += strfmt("%s %llu\n", key,
-                      static_cast<unsigned long long>(v));
+    const auto counter = [&metrics](std::string_view name) {
+        const auto *c = metrics.findCounter(name);
+        return c != nullptr ? c->value : std::uint64_t{0};
     };
-    line("requests", stats.requests);
-    line("hits", stats.hits);
-    line("coalesced", stats.coalesced);
-    line("misses", stats.misses);
-    line("invalid", stats.invalid);
-    line("failed", stats.failed);
-    line("expired", stats.expired);
-    line("shed", stats.shed);
-    line("quarantined", stats.quarantined);
-    line("rejected", stats.rejected);
-    line("evictions", stats.evictions);
-    line("retired", stats.retired);
-    line("cached", stats.cached);
-    line("degraded", stats.degraded ? 1 : 0);
-    line("queue_depth",
-         static_cast<std::uint64_t>(std::max(stats.queueDepth, 0)));
-    line("peak_queue_depth",
-         static_cast<std::uint64_t>(
-             std::max(stats.peakQueueDepth, 0)));
-    line("queue_capacity",
-         static_cast<std::uint64_t>(
-             std::max(stats.queueCapacity, 0)));
-    line("net_connections", stats.netConnections);
-    line("net_requests", stats.netRequests);
-    line("net_framing_rejects", stats.netFramingRejects);
-    line("net_bytes_in", stats.netBytesIn);
-    line("net_bytes_out", stats.netBytesOut);
+    const auto gauge = [&metrics](std::string_view name) {
+        const auto *g = metrics.findGauge(name);
+        return g != nullptr ? g->value : 0.0;
+    };
+    ServeStats out;
+    out.requests = counter("serve.requests");
+    out.hits = counter("serve.hits");
+    out.coalesced = counter("serve.coalesced");
+    out.misses = counter("serve.misses");
+    out.invalid = counter("serve.invalid");
+    out.failed = counter("serve.failed");
+    out.expired = counter("serve.expired");
+    out.shed = counter("serve.shed");
+    out.quarantined = counter("serve.quarantined");
+    out.rejected = out.shed + out.quarantined;
+    out.evictions = counter("cache.evictions");
+    out.retired = counter("cache.retired");
+    out.cached = static_cast<std::uint64_t>(gauge("cache.entries"));
+    out.degraded = gauge("serve.degraded") != 0.0;
+    out.queueDepth = static_cast<int>(gauge("serve.queue_depth"));
+    out.peakQueueDepth =
+        static_cast<int>(gauge("serve.queue_depth_peak"));
+    out.queueCapacity =
+        static_cast<int>(gauge("serve.queue_capacity"));
+    out.netConnections = counter("net.connections");
+    out.netRequests = counter("net.requests");
+    out.netFramingRejects = counter("net.framing_rejects");
+    out.netBytesIn = counter("net.bytes_in");
+    out.netBytesOut = counter("net.bytes_out");
+    if (const auto *h = metrics.findHistogram("serve.latency_ms")) {
+        out.latencySamples = h->hist.count;
+        out.p50Ms = h->hist.percentile(50);
+        out.p90Ms = h->hist.percentile(90);
+        out.p99Ms = h->hist.percentile(99);
+        out.maxMs = h->hist.maxMs;
+        out.meanMs = h->hist.mean();
+    }
     return out;
-}
-
-bool
-serveStatsFromText(const std::string &text, ServeStats &stats,
-                   std::string &error)
-{
-    ServeStats parsed;
-    const std::vector<std::string> lines = split(text, '\n');
-    size_t i = 0;
-    while (i < lines.size() && trim(lines[i]).empty())
-        ++i;
-    if (i >= lines.size() || trim(lines[i]) != "servestats v1") {
-        error = "missing 'servestats v1' header";
-        return false;
-    }
-    int lineno = static_cast<int>(i) + 1;
-    for (++i; i < lines.size(); ++i) {
-        ++lineno;
-        const std::string line = trim(lines[i]);
-        if (line.empty() || line[0] == '#')
-            continue;
-        const size_t sp = line.find(' ');
-        if (sp == std::string::npos) {
-            error = strfmt("line %d: want 'key value'", lineno);
-            return false;
-        }
-        const std::string key = line.substr(0, sp);
-        const std::string value = trim(line.substr(sp + 1));
-        int v = 0;
-        if (!parseInt(value, v)) {
-            error = strfmt("line %d: bad value '%s' for '%s'",
-                           lineno, value.c_str(), key.c_str());
-            return false;
-        }
-        const std::uint64_t u = static_cast<std::uint64_t>(v);
-        if (key == "requests") {
-            parsed.requests = u;
-        } else if (key == "hits") {
-            parsed.hits = u;
-        } else if (key == "coalesced") {
-            parsed.coalesced = u;
-        } else if (key == "misses") {
-            parsed.misses = u;
-        } else if (key == "invalid") {
-            parsed.invalid = u;
-        } else if (key == "failed") {
-            parsed.failed = u;
-        } else if (key == "expired") {
-            parsed.expired = u;
-        } else if (key == "shed") {
-            parsed.shed = u;
-        } else if (key == "quarantined") {
-            parsed.quarantined = u;
-        } else if (key == "rejected") {
-            parsed.rejected = u;
-        } else if (key == "evictions") {
-            parsed.evictions = u;
-        } else if (key == "retired") {
-            parsed.retired = u;
-        } else if (key == "cached") {
-            parsed.cached = u;
-        } else if (key == "degraded") {
-            parsed.degraded = u != 0;
-        } else if (key == "queue_depth") {
-            parsed.queueDepth = static_cast<int>(v);
-        } else if (key == "peak_queue_depth") {
-            parsed.peakQueueDepth = static_cast<int>(v);
-        } else if (key == "queue_capacity") {
-            parsed.queueCapacity = static_cast<int>(v);
-        } else if (key == "net_connections") {
-            parsed.netConnections = u;
-        } else if (key == "net_requests") {
-            parsed.netRequests = u;
-        } else if (key == "net_framing_rejects") {
-            parsed.netFramingRejects = u;
-        } else if (key == "net_bytes_in") {
-            parsed.netBytesIn = u;
-        } else if (key == "net_bytes_out") {
-            parsed.netBytesOut = u;
-        } else {
-            error = strfmt("line %d: unknown key '%s'", lineno,
-                           key.c_str());
-            return false;
-        }
-    }
-    stats = parsed;
-    return true;
 }
 
 } // namespace dms

@@ -167,54 +167,52 @@ struct CompileResult
     std::string kernelText;
 };
 
-/** Point-in-time service counters. */
+/**
+ * Point-in-time service counters: a typed view of one metrics
+ * snapshot (serveStatsFromMetrics), never a second tally. Each
+ * field names the metric it is read from.
+ */
 struct ServeStats
 {
-    std::uint64_t requests = 0;  ///< submits, including invalid
-    std::uint64_t hits = 0;      ///< served from the cache
-    std::uint64_t coalesced = 0; ///< joined an in-flight compile
-    std::uint64_t misses = 0;    ///< cold compilations started
-    std::uint64_t invalid = 0;   ///< requests that failed to parse
-    std::uint64_t evictions = 0; ///< ready entries dropped (cap)
-    std::uint64_t cached = 0;    ///< entries resident right now
+    std::uint64_t requests = 0;  ///< serve.requests (incl. invalid)
+    std::uint64_t hits = 0;      ///< serve.hits
+    std::uint64_t coalesced = 0; ///< serve.coalesced
+    std::uint64_t misses = 0;    ///< serve.misses (cold compiles)
+    std::uint64_t invalid = 0;   ///< serve.invalid
+    std::uint64_t evictions = 0; ///< cache.evictions
+    std::uint64_t cached = 0;    ///< cache.entries (gauge)
 
     /** @name Fault-tolerance counters */
     /// @{
-    std::uint64_t failed = 0;  ///< compiles resolved Failed
-    std::uint64_t expired = 0; ///< deadline expiries (Expired)
-    std::uint64_t shed = 0;    ///< trySubmit queue-full rejections
-    std::uint64_t quarantined = 0; ///< poisoned-key rejections
-    std::uint64_t rejected = 0;    ///< shed + quarantined
-    std::uint64_t retired = 0; ///< failed cache entries reclaimed
+    std::uint64_t failed = 0;      ///< serve.failed
+    std::uint64_t expired = 0;     ///< serve.expired
+    std::uint64_t shed = 0;        ///< serve.shed
+    std::uint64_t quarantined = 0; ///< serve.quarantined
+    std::uint64_t rejected = 0;    ///< derived: shed + quarantined
+    std::uint64_t retired = 0;     ///< cache.retired
 
     /**
-     * Sticky-ish overload indicator: set when a request is shed,
-     * cleared when a push observes the queue at half capacity or
-     * less. Clients may use it to back off preemptively.
+     * serve.degraded (gauge): set when a request is shed, cleared
+     * when a push observes the queue at half capacity or less.
+     * Clients may use it to back off preemptively.
      */
     bool degraded = false;
     /// @}
 
-    int queueDepth = 0;     ///< requests waiting right now
-    int peakQueueDepth = 0; ///< high-water mark
-    int queueCapacity = 0;  ///< configured bound (ServeOptions)
+    int queueDepth = 0;     ///< serve.queue_depth (gauge)
+    int peakQueueDepth = 0; ///< serve.queue_depth_peak (gauge)
+    int queueCapacity = 0;  ///< serve.queue_capacity (gauge)
 
     /** @name Network front-end counters (zero without --listen) */
     /// @{
-    std::uint64_t netConnections = 0; ///< TCP connections accepted
-    std::uint64_t netRequests = 0;    ///< request lines received
-    /**
-     * Request lines that failed wire-format framing. Every framing
-     * reject is also submitted to the service as an (unparseable)
-     * request, so netFramingRejects <= invalid — the lint
-     * identity dmslint audits.
-     */
-    std::uint64_t netFramingRejects = 0;
-    std::uint64_t netBytesIn = 0;  ///< request bytes read
-    std::uint64_t netBytesOut = 0; ///< response bytes written
+    std::uint64_t netConnections = 0;    ///< net.connections
+    std::uint64_t netRequests = 0;       ///< net.requests (lines)
+    std::uint64_t netFramingRejects = 0; ///< net.framing_rejects
+    std::uint64_t netBytesIn = 0;        ///< net.bytes_in
+    std::uint64_t netBytesOut = 0;       ///< net.bytes_out
     /// @}
 
-    /** @name End-to-end compile() latency (milliseconds) */
+    /** @name End-to-end latency, from serve.latency_ms (ms) */
     /// @{
     std::uint64_t latencySamples = 0;
     double p50Ms = 0;
@@ -233,6 +231,14 @@ struct ServeStats
                          static_cast<double>(requests);
     }
 };
+
+/**
+ * The one ServeStats sweep: every field from the metric of the same
+ * meaning in @p metrics (absent metrics read 0), percentiles from
+ * the serve.latency_ms histogram. Works on a live snapshot and on
+ * one parsed back by metricsFromText alike.
+ */
+ServeStats serveStatsFromMetrics(const obs::MetricsSnapshot &metrics);
 
 /**
  * The long-lived compile server. Thread-safe: any number of client
@@ -312,12 +318,12 @@ class CompileService
     /**
      * Record one end-to-end request latency into the serving
      * histogram. compile() calls it for in-process requests; the
-     * network front-end calls it per request line, so the stats
-     * and metrics verbs report wire latencies too. Wait-free.
+     * network front-end calls it per request line, so the metrics
+     * verb reports wire latencies too. Wait-free.
      */
     void recordLatencyMs(double ms);
 
-    /** Snapshot of the counters and latency percentiles. */
+    /** serveStatsFromMetrics(metrics()). */
     ServeStats stats() const;
 
     /**
@@ -325,7 +331,7 @@ class CompileService
      * every serve.* counter, the serve.latency_ms histogram, the
      * queue/cache gauges, the scheduler-attempt counter, and one
      * fault.<site>.{hits,fired} counter pair per observed fault
-     * site. Lock-free sweep of the same cells stats() reads.
+     * site. A lock-free sweep of the live cells.
      */
     obs::MetricsSnapshot metrics() const;
 
@@ -348,20 +354,6 @@ class CompileService
 CompileRequest makeRequest(const Loop &loop,
                            const MachineModel &machine,
                            const PipelineOptions &options);
-
-/**
- * Serialize a stats snapshot into the "servestats v1" text format
- * (one "key value" line per field) — the artifact dmslint's
- * serve.stats-consistency checker audits.
- */
-std::string serveStatsToText(const ServeStats &stats);
-
-/**
- * Parse the "servestats v1" format back. Unknown keys, bad values
- * and a missing header are errors; absent fields keep defaults.
- */
-bool serveStatsFromText(const std::string &text, ServeStats &stats,
-                        std::string &error);
 
 } // namespace dms
 

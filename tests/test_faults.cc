@@ -5,8 +5,8 @@
  * kinds), the hardened compile service under chaos (every request
  * one terminal status, the daemon never dies), quarantine of
  * poisoned keys with half-open probing, deadline expiry, load
- * shedding through trySubmit, the ServeStats text round-trip, and
- * a fuzz of the result cache's eviction/retirement accounting
+ * shedding through trySubmit, the counter identities of every
+ * final metrics snapshot, and a fuzz of the result cache's eviction/retirement accounting
  * against its conservation law.
  */
 
@@ -20,6 +20,7 @@
 
 #include "analysis/analyze.h"
 #include "machine/desc.h"
+#include "obs/metrics.h"
 #include "serve/cache.h"
 #include "serve/loadgen.h"
 #include "serve/service.h"
@@ -54,14 +55,14 @@ kernelRequest(const char *kernel)
     return makeRequest(loop, MachineModel::clusteredRing(4), po);
 }
 
-/** The final ServeStats must satisfy the lint identities. */
+/** The final metrics snapshot must satisfy the lint identities. */
 void
-expectStatsConsistent(const CompileService &service,
+expectMetricsConsistent(const CompileService &service,
                       const char *label)
 {
     DiagnosticSink sink;
-    lintServeStatsText(serveStatsToText(service.stats()), label,
-                       sink);
+    lintMetricsText(obs::metricsToText(service.metrics()), label,
+                    sink);
     EXPECT_EQ(sink.renderText(), "") << label;
 }
 
@@ -281,7 +282,7 @@ TEST(Faults, NoFaultAndRateZeroRunsBitIdentical)
  * load while every fault site is armed at 10-30%. The service must
  * neither crash nor hang, every request must reach exactly one
  * terminal status, and the final counters must satisfy the
- * serve.stats-consistency identities.
+ * obs.metrics-consistency identities.
  */
 TEST(Faults, ChaosHammerEveryRequestOneTerminalStatus)
 {
@@ -339,7 +340,7 @@ TEST(Faults, ChaosHammerEveryRequestOneTerminalStatus)
 
     const ServeStats stats = service.stats();
     EXPECT_GE(stats.requests, static_cast<std::uint64_t>(kTotal));
-    expectStatsConsistent(service, "chaos");
+    expectMetricsConsistent(service, "chaos");
 
     // The daemon survived: with the plan disarmed (workers idle —
     // every future above resolved), service compiles cleanly.
@@ -386,7 +387,7 @@ TEST(Faults, QuarantineTriggersThenProbeClears)
     CompileService::Ticket warm = service.submit(req);
     EXPECT_EQ(warm.source, CompileService::Source::Hit);
     EXPECT_EQ(warm.future.get()->status, CompileStatus::Ok);
-    expectStatsConsistent(service, "quarantine");
+    expectMetricsConsistent(service, "quarantine");
 }
 
 TEST(Faults, DeadlineExpiresAndKeyRetriesAfterwards)
@@ -419,7 +420,7 @@ TEST(Faults, DeadlineExpiresAndKeyRetriesAfterwards)
     CompileService::Ticket again = service.submit(req);
     EXPECT_EQ(again.source, CompileService::Source::Miss);
     EXPECT_EQ(again.future.get()->status, CompileStatus::Ok);
-    expectStatsConsistent(service, "deadline");
+    expectMetricsConsistent(service, "deadline");
 }
 
 TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
@@ -472,7 +473,7 @@ TEST(Faults, TrySubmitShedsWhenTheQueueStaysFull)
     EXPECT_EQ(stats.shed, static_cast<std::uint64_t>(shed));
     EXPECT_EQ(stats.rejected, stats.shed + stats.quarantined);
     EXPECT_TRUE(stats.degraded);
-    expectStatsConsistent(service, "shed");
+    expectMetricsConsistent(service, "shed");
     disarmFaults();
 }
 
@@ -530,76 +531,7 @@ TEST(Validate, PanicReachableRequestsRejectedStructured)
         service.compile(kernelRequest("daxpy"));
     EXPECT_TRUE(good->ok) << good->error;
     EXPECT_EQ(service.stats().invalid, 5u);
-    expectStatsConsistent(service, "validate");
-}
-
-// --- ServeStats text form ----------------------------------------------
-
-TEST(ServeStatsText, RoundTripsEveryCounter)
-{
-    ServeStats stats;
-    stats.requests = 101;
-    stats.hits = 42;
-    stats.coalesced = 7;
-    stats.misses = 31;
-    stats.invalid = 3;
-    stats.failed = 9;
-    stats.expired = 4;
-    stats.shed = 11;
-    stats.quarantined = 2;
-    stats.rejected = 13;
-    stats.evictions = 5;
-    stats.retired = 6;
-    stats.cached = 17;
-    stats.degraded = true;
-    stats.queueDepth = 3;
-    stats.peakQueueDepth = 12;
-    stats.queueCapacity = 64;
-
-    const std::string text = serveStatsToText(stats);
-    EXPECT_EQ(text.rfind("servestats v1\n", 0), 0u);
-
-    ServeStats back;
-    std::string error;
-    ASSERT_TRUE(serveStatsFromText(text, back, error)) << error;
-    EXPECT_EQ(back.requests, stats.requests);
-    EXPECT_EQ(back.hits, stats.hits);
-    EXPECT_EQ(back.coalesced, stats.coalesced);
-    EXPECT_EQ(back.misses, stats.misses);
-    EXPECT_EQ(back.invalid, stats.invalid);
-    EXPECT_EQ(back.failed, stats.failed);
-    EXPECT_EQ(back.expired, stats.expired);
-    EXPECT_EQ(back.shed, stats.shed);
-    EXPECT_EQ(back.quarantined, stats.quarantined);
-    EXPECT_EQ(back.rejected, stats.rejected);
-    EXPECT_EQ(back.evictions, stats.evictions);
-    EXPECT_EQ(back.retired, stats.retired);
-    EXPECT_EQ(back.cached, stats.cached);
-    EXPECT_EQ(back.degraded, stats.degraded);
-    EXPECT_EQ(back.queueDepth, stats.queueDepth);
-    EXPECT_EQ(back.peakQueueDepth, stats.peakQueueDepth);
-    EXPECT_EQ(back.queueCapacity, stats.queueCapacity);
-}
-
-TEST(ServeStatsText, RejectsMalformedText)
-{
-    ServeStats out;
-    std::string error;
-    EXPECT_FALSE(serveStatsFromText("", out, error));
-    EXPECT_FALSE(error.empty());
-    EXPECT_FALSE(
-        serveStatsFromText("requests 3\n", out, error));
-    EXPECT_FALSE(serveStatsFromText(
-        "servestats v1\nbogus_key 3\n", out, error));
-    EXPECT_FALSE(serveStatsFromText(
-        "servestats v1\nrequests banana\n", out, error));
-    EXPECT_FALSE(serveStatsFromText(
-        "servestats v1\nrequestsonly\n", out, error));
-    // Comments and blank lines are fine.
-    EXPECT_TRUE(serveStatsFromText(
-        "\nservestats v1\n# comment\n\nrequests 3\n", out, error))
-        << error;
-    EXPECT_EQ(out.requests, 3u);
+    expectMetricsConsistent(service, "validate");
 }
 
 // --- cache eviction/retirement accounting ------------------------------

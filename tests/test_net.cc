@@ -4,9 +4,10 @@
  * deterministic framing-fuzz pass over corrupted request lines
  * (parse or structured reject — never a crash), live-server abuse
  * (garbage lines, oversized lines, mid-request disconnects) that
- * must leave the daemon serving, and the socket-parity pin: a TCP
+ * must leave the daemon serving, the socket-parity pin (a TCP
  * round trip returns results bit-identical to the in-process
- * CompileService, including a cache-hit round trip.
+ * CompileService, including a cache-hit round trip), and the
+ * ServeStats view over the metrics verb.
  */
 
 #include <arpa/inet.h>
@@ -30,6 +31,7 @@
 #include "machine/desc.h"
 #include "serve/net.h"
 #include "serve/service.h"
+#include "support/faultinject.h"
 #include "support/rng.h"
 #include "workload/suite.h"
 #include "workload/text.h"
@@ -181,13 +183,16 @@ TEST(Wire, RequestLineRoundTripsEveryField)
     EXPECT_TRUE(back.request.options.regalloc);
     EXPECT_TRUE(back.request.options.codegen);
 
-    WireRequest stats;
-    stats.verb = WireRequest::Verb::Stats;
-    WireRequest statsBack;
-    ASSERT_TRUE(wireRequestFromLine(wireRequestToLine(stats),
-                                    statsBack, error))
+    WireRequest metrics;
+    metrics.verb = WireRequest::Verb::Metrics;
+    WireRequest metricsBack;
+    ASSERT_TRUE(wireRequestFromLine(wireRequestToLine(metrics),
+                                    metricsBack, error))
         << error;
-    EXPECT_EQ(statsBack.verb, WireRequest::Verb::Stats);
+    EXPECT_EQ(metricsBack.verb, WireRequest::Verb::Metrics);
+    // Counters travel only through `metrics`; `stats` is no verb.
+    EXPECT_FALSE(wireRequestFromLine("dms1\tstats", metricsBack,
+                                     error));
 }
 
 TEST(Wire, ResultLineRoundTripsEveryField)
@@ -391,12 +396,13 @@ TEST(NetServer, TcpRoundTripIsBitIdenticalToInProcessService)
     EXPECT_EQ(stats.netConnections, 1u);
     EXPECT_EQ(stats.netFramingRejects, 0u);
 
-    // The stats verb round-trips the snapshot text too.
-    std::string statsText;
-    ASSERT_TRUE(client.fetchStats(statsText, error)) << error;
-    ServeStats fetched;
-    ASSERT_TRUE(serveStatsFromText(statsText, fetched, error))
+    // The metrics verb carries the same counters to the client.
+    std::string metricsText;
+    ASSERT_TRUE(client.fetchMetrics(metricsText, error)) << error;
+    obs::MetricsSnapshot snap;
+    ASSERT_TRUE(obs::metricsFromText(metricsText, snap, error))
         << error;
+    const ServeStats fetched = serveStatsFromMetrics(snap);
     EXPECT_EQ(fetched.hits, stats.hits);
     EXPECT_EQ(fetched.netConnections, 1u);
     server.stop();
@@ -458,10 +464,10 @@ TEST(NetServer, MetricsVerbRoundTripsAndLintsClean)
 
 TEST(NetServer, ConcurrentStatsAndMetricsPollingUnderLoad)
 {
-    // Satellite of the lock-free stats refactor: snapshots are
-    // plain atomic reads now, so clients hammering the stats and
-    // metrics verbs while compile load runs must see consistent
-    // text (this test is the TSan witness for the hot path).
+    // Snapshots are plain atomic reads, so a client hammering the
+    // metrics verb and an in-process stats() poller while compile
+    // load runs must see consistent snapshots (this test is the
+    // TSan witness for the hot path).
     ServeOptions so;
     so.workers = 2;
     CompileService service(so);
@@ -494,31 +500,30 @@ TEST(NetServer, ConcurrentStatsAndMetricsPollingUnderLoad)
         });
     }
     std::vector<std::thread> pollers;
-    for (int p = 0; p < 2; ++p) {
-        pollers.emplace_back([&] {
-            NetClient nc;
-            std::string err;
-            if (!nc.connect("127.0.0.1", port, 5000, err)) {
+    pollers.emplace_back([&] {
+        NetClient nc;
+        std::string err;
+        if (!nc.connect("127.0.0.1", port, 5000, err)) {
+            pollFailures.fetch_add(1);
+            return;
+        }
+        while (!done.load(std::memory_order_relaxed)) {
+            std::string text;
+            obs::MetricsSnapshot snap;
+            if (!nc.fetchMetrics(text, err) ||
+                !obs::metricsFromText(text, snap, err)) {
                 pollFailures.fetch_add(1);
-                return;
+                break;
             }
-            while (!done.load(std::memory_order_relaxed)) {
-                std::string text;
-                ServeStats s;
-                if (!nc.fetchStats(text, err) ||
-                    !serveStatsFromText(text, s, err)) {
-                    pollFailures.fetch_add(1);
-                    break;
-                }
-                obs::MetricsSnapshot snap;
-                if (!nc.fetchMetrics(text, err) ||
-                    !obs::metricsFromText(text, snap, err)) {
-                    pollFailures.fetch_add(1);
-                    break;
-                }
-            }
-        });
-    }
+        }
+    });
+    pollers.emplace_back([&] {
+        while (!done.load(std::memory_order_relaxed)) {
+            const ServeStats s = server.stats();
+            if (s.latencySamples > s.requests)
+                pollFailures.fetch_add(1);
+        }
+    });
     for (std::thread &t : compilers)
         t.join();
     done.store(true);
@@ -538,6 +543,189 @@ TEST(NetServer, ConcurrentStatsAndMetricsPollingUnderLoad)
     EXPECT_EQ(stats.requests, 45u);
     EXPECT_EQ(stats.latencySamples, 45u);
     server.stop();
+}
+
+// --- ServeStats as a view of the metrics snapshot ----------------------
+
+/** Counter @p name of @p snap; fails the test when absent. */
+std::uint64_t
+counterOf(const obs::MetricsSnapshot &snap, const char *name)
+{
+    const auto *c = snap.findCounter(name);
+    EXPECT_NE(c, nullptr) << name;
+    return c != nullptr ? c->value : 0;
+}
+
+/** Gauge @p name of @p snap; fails the test when absent. */
+double
+gaugeOf(const obs::MetricsSnapshot &snap, const char *name)
+{
+    const auto *g = snap.findGauge(name);
+    EXPECT_NE(g, nullptr) << name;
+    return g != nullptr ? g->value : 0.0;
+}
+
+TEST(ServeStatsView, EveryFieldReadsItsNamedMetric)
+{
+    ServeOptions so;
+    so.workers = 2;
+    so.quarantineAfter = 1;
+    CompileService service(so);
+    NetServer server(service);
+    std::string error;
+    ASSERT_TRUE(server.start(error)) << error;
+
+    // In-process: a miss, a hit, an injected worker fault, and the
+    // quarantine rejection that fault earns the key.
+    EXPECT_TRUE(service.compile(kernelRequest("fir8"))->ok);
+    EXPECT_TRUE(service.compile(kernelRequest("fir8"))->ok);
+    {
+        FaultPlan plan;
+        plan.add({"serve.worker.compile", 1.0, 7, FaultKind::Error,
+                  0});
+        armFaults(plan);
+        EXPECT_EQ(service.compile(kernelRequest("iir2"))->status,
+                  CompileStatus::Failed);
+        disarmFaults();
+    }
+    EXPECT_EQ(service.compile(kernelRequest("iir2"))->status,
+              CompileStatus::Quarantined);
+
+    // Over TCP: a compile and a framing reject.
+    NetClient client;
+    ASSERT_TRUE(
+        client.connect("127.0.0.1", server.port(), 5000, error))
+        << error;
+    CompileResult result;
+    ASSERT_TRUE(client.compile(kernelRequest("dot_product"), result,
+                               error))
+        << error;
+    EXPECT_EQ(result.status, CompileStatus::Ok);
+    const int fd = rawConnect(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(rawSend(fd, "dms1\tfrobnicate\n"));
+    std::string line;
+    ASSERT_TRUE(rawReadLine(fd, line));
+    ::close(fd);
+    server.stop();
+
+    const obs::MetricsSnapshot snap = server.metrics();
+    const ServeStats s = serveStatsFromMetrics(snap);
+    EXPECT_EQ(s.requests, counterOf(snap, "serve.requests"));
+    EXPECT_EQ(s.hits, counterOf(snap, "serve.hits"));
+    EXPECT_EQ(s.coalesced, counterOf(snap, "serve.coalesced"));
+    EXPECT_EQ(s.misses, counterOf(snap, "serve.misses"));
+    EXPECT_EQ(s.invalid, counterOf(snap, "serve.invalid"));
+    EXPECT_EQ(s.failed, counterOf(snap, "serve.failed"));
+    EXPECT_EQ(s.expired, counterOf(snap, "serve.expired"));
+    EXPECT_EQ(s.shed, counterOf(snap, "serve.shed"));
+    EXPECT_EQ(s.quarantined, counterOf(snap, "serve.quarantined"));
+    EXPECT_EQ(s.rejected, s.shed + s.quarantined);
+    EXPECT_EQ(s.evictions, counterOf(snap, "cache.evictions"));
+    EXPECT_EQ(s.retired, counterOf(snap, "cache.retired"));
+    EXPECT_EQ(static_cast<double>(s.cached),
+              gaugeOf(snap, "cache.entries"));
+    EXPECT_EQ(s.degraded, gaugeOf(snap, "serve.degraded") != 0.0);
+    EXPECT_EQ(s.queueDepth,
+              static_cast<int>(gaugeOf(snap, "serve.queue_depth")));
+    EXPECT_EQ(s.peakQueueDepth,
+              static_cast<int>(
+                  gaugeOf(snap, "serve.queue_depth_peak")));
+    EXPECT_EQ(s.queueCapacity,
+              static_cast<int>(
+                  gaugeOf(snap, "serve.queue_capacity")));
+    EXPECT_EQ(s.netConnections, counterOf(snap, "net.connections"));
+    EXPECT_EQ(s.netRequests, counterOf(snap, "net.requests"));
+    EXPECT_EQ(s.netFramingRejects,
+              counterOf(snap, "net.framing_rejects"));
+    EXPECT_EQ(s.netBytesIn, counterOf(snap, "net.bytes_in"));
+    EXPECT_EQ(s.netBytesOut, counterOf(snap, "net.bytes_out"));
+    const auto *latency = snap.findHistogram("serve.latency_ms");
+    ASSERT_NE(latency, nullptr);
+    EXPECT_EQ(s.latencySamples, latency->hist.count);
+    EXPECT_EQ(s.p50Ms, latency->hist.percentile(50));
+    EXPECT_EQ(s.p90Ms, latency->hist.percentile(90));
+    EXPECT_EQ(s.p99Ms, latency->hist.percentile(99));
+    EXPECT_EQ(s.maxMs, latency->hist.maxMs);
+    EXPECT_EQ(s.meanMs, latency->hist.mean());
+
+    // The traffic above reached every path it was meant to, so the
+    // comparisons are not all 0 == 0.
+    EXPECT_EQ(s.requests, 6u);
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 3u);
+    EXPECT_EQ(s.failed, 1u);
+    EXPECT_EQ(s.quarantined, 1u);
+    EXPECT_EQ(s.rejected, 1u);
+    EXPECT_EQ(s.invalid, 1u);
+    // Four compile() calls and one wire compile; a framing reject
+    // is answered before any latency is recorded.
+    EXPECT_EQ(s.latencySamples, 5u);
+    EXPECT_EQ(s.queueCapacity, so.queueDepth);
+    EXPECT_EQ(s.netConnections, 2u);
+    EXPECT_EQ(s.netRequests, 2u);
+    EXPECT_EQ(s.netFramingRejects, 1u);
+    EXPECT_GT(s.netBytesOut, 0u);
+
+    // The member views agree with the snapshot on a drained server.
+    EXPECT_EQ(server.stats().requests, s.requests);
+    EXPECT_EQ(service.stats().failed, s.failed);
+
+    // And the snapshot satisfies every identity the lint audits.
+    DiagnosticSink sink;
+    lintMetricsText(obs::metricsToText(snap), "view.metrics", sink);
+    EXPECT_TRUE(sink.empty()) << sink.renderText();
+}
+
+TEST(ServeStatsView, CountersPastIntMaxSurviveTheMetricsVerb)
+{
+    obs::MetricsSnapshot sent;
+    sent.addCounter("net.bytes_out", 3000000000ULL);
+    sent.addCounter("serve.requests", 5000000000ULL);
+    sent.addCounter("serve.hits", 4294967296ULL);
+    const std::string text = obs::metricsToText(sent);
+
+    // A one-shot stand-in daemon that answers one metrics line.
+    const int lfd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(lfd, 0);
+    sockaddr_in addr = {};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    ASSERT_EQ(::bind(lfd, reinterpret_cast<sockaddr *>(&addr),
+                     sizeof(addr)),
+              0);
+    ASSERT_EQ(::listen(lfd, 1), 0);
+    socklen_t len = sizeof(addr);
+    ASSERT_EQ(::getsockname(lfd, reinterpret_cast<sockaddr *>(&addr),
+                            &len),
+              0);
+    std::thread daemon([lfd, &text] {
+        const int fd = ::accept(lfd, nullptr, nullptr);
+        std::string request;
+        if (fd >= 0 && rawReadLine(fd, request))
+            rawSend(fd, wireMetricsToLine(text) + "\n");
+        if (fd >= 0)
+            ::close(fd);
+    });
+
+    NetClient client;
+    std::string error;
+    std::string got;
+    const bool connected = client.connect(
+        "127.0.0.1", ntohs(addr.sin_port), 5000, error);
+    const bool fetched =
+        connected && client.fetchMetrics(got, error);
+    daemon.join();
+    ::close(lfd);
+    ASSERT_TRUE(fetched) << error;
+    EXPECT_EQ(got, text);
+
+    obs::MetricsSnapshot back;
+    ASSERT_TRUE(obs::metricsFromText(got, back, error)) << error;
+    const ServeStats s = serveStatsFromMetrics(back);
+    EXPECT_EQ(s.netBytesOut, 3000000000ULL);
+    EXPECT_EQ(s.requests, 5000000000ULL);
+    EXPECT_EQ(s.hits, 4294967296ULL);
 }
 
 } // namespace

@@ -3,8 +3,9 @@
  * Compile-service tests: env-knob hardening, cold/warm parity
  * (bit-identical cached results), single-flight dedup under
  * concurrent duplicate requests (the ASan/TSan-relevant hammer),
- * sweep routing equivalence, capacity eviction, and graceful
- * rejection of malformed requests.
+ * sweep routing equivalence, capacity eviction, graceful
+ * rejection of malformed requests, and the two ServeStats fields
+ * the metrics snapshot does not carry (rejected, the percentiles).
  */
 
 #include <cstdint>
@@ -18,10 +19,12 @@
 #include "core/dms.h"
 #include "eval/runner.h"
 #include "machine/desc.h"
+#include "obs/metrics.h"
 #include "sched/mii.h"
 #include "sched/scheduler.h"
 #include "serve/cache.h"
 #include "serve/service.h"
+#include "support/rng.h"
 #include "support/strings.h"
 #include "workload/suite.h"
 #include "workload/text.h"
@@ -554,6 +557,75 @@ TEST(Serve, HostileMiiHintIsRecoverableNotFatal)
     CompileService::ResultPtr after =
         service.compile(kernelRequest("daxpy"));
     EXPECT_EQ(after->status, CompileStatus::Ok);
+}
+
+// --- derived ServeStats fields ------------------------------------------
+
+/**
+ * rejected is not a metric: the view derives it, so its identity
+ * with shed + quarantined holds by construction and no lint can
+ * audit it. Pin the derivation and that no snapshot carries it.
+ */
+TEST(ServeStatsView, RejectedIsShedPlusQuarantined)
+{
+    obs::MetricsSnapshot snap;
+    snap.addCounter("serve.shed", 7);
+    snap.addCounter("serve.quarantined", 5);
+    EXPECT_EQ(serveStatsFromMetrics(snap).rejected, 12u);
+
+    CompileService service;
+    service.compile(kernelRequest("fir8"));
+    const obs::MetricsSnapshot live = service.metrics();
+    EXPECT_EQ(live.findCounter("serve.rejected"), nullptr);
+    const ServeStats s = serveStatsFromMetrics(live);
+    EXPECT_EQ(s.rejected, s.shed + s.quarantined);
+}
+
+/**
+ * The percentiles are not metrics either: they are read off the
+ * serve.latency_ms buckets, whose conservation the lint audits.
+ * Nearest-rank over sorted buckets makes p50 <= p90 <= p99, and
+ * each is the midpoint of a bucket no higher than the maximum's,
+ * for any sample set and after the text round trip.
+ */
+TEST(ServeStatsView, PercentilesAreMonotone)
+{
+    Rng rng(0x9e1f0ULL);
+    for (int trial = 0; trial < 64; ++trial) {
+        obs::LatencyHistogram hist;
+        const int n = 1 + rng.range(0, 400);
+        const double scale = 0.001 * (1 << rng.range(0, 20));
+        for (int i = 0; i < n; ++i) {
+            const double u = rng.uniform();
+            hist.record(trial % 2 == 0 ? scale * u
+                                       : scale / (0.01 + u * u));
+        }
+        obs::MetricsSnapshot snap;
+        snap.addHistogram("serve.latency_ms", hist.snapshot());
+        obs::MetricsSnapshot back;
+        std::string error;
+        ASSERT_TRUE(obs::metricsFromText(obs::metricsToText(snap),
+                                         back, error))
+            << error;
+        for (const obs::MetricsSnapshot *m : {&snap, &back}) {
+            const ServeStats s = serveStatsFromMetrics(*m);
+            EXPECT_LE(s.p50Ms, s.p90Ms) << trial;
+            EXPECT_LE(s.p90Ms, s.p99Ms) << trial;
+            EXPECT_LT(s.p99Ms,
+                      obs::LatencyHistogram::bucketHiMs(
+                          obs::LatencyHistogram::bucketFor(s.maxMs)))
+                << trial;
+        }
+    }
+
+    // A midpoint may exceed the exact maximum, so p99 <= max is
+    // not an identity: one sample at a bucket's low edge.
+    obs::LatencyHistogram one;
+    one.record(obs::LatencyHistogram::bucketLoMs(200));
+    obs::MetricsSnapshot snap;
+    snap.addHistogram("serve.latency_ms", one.snapshot());
+    const ServeStats s = serveStatsFromMetrics(snap);
+    EXPECT_GT(s.p99Ms, s.maxMs);
 }
 
 } // namespace
