@@ -26,26 +26,15 @@
  * DMS_SERVE_MIN_SPEEDUP (gate: warm rps must be at least this
  * multiple of cold rps, default 10; the acceptance floor).
  *
- * Regression gate: when DMS_SERVE_BASELINE names a previous
- * BENCH_serve.json, the run fails (exit 1) if the median warm or
- * cold rps over the phase's repetitions drops more than
- * DMS_SERVE_MAX_DROP percent (default 15) below the baseline's —
- * warm guards the cache path, cold the full compile pipeline. One
- * repetition lasts a few milliseconds at the CI's suite size, too
- * short for a single run to hold a 15% bound. A baseline lacking
- * either field skips that field's check with a warning. The CI
- * perf-gate job runs merge-base and head back to back and points
- * this at the base run's file, mirroring DMS_HOTPATH_BASELINE.
+ * Regression gate: bench/serve_gate.py runs two builds of this
+ * binary alternately and compares their median warm and cold rps.
  */
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -97,41 +86,6 @@ struct NetPoint
     double p99Ms = 0;
     double msgBytes = 0; ///< mean request-line size on the wire
 };
-
-/**
- * Extract <phase>.rps ("warm", "cold") from a baseline
- * BENCH_serve.json (string scan; the file is our own single-line
- * emission). Negative when absent.
- */
-double
-baselineRps(const std::string &json, const char *phase)
-{
-    const size_t at = json.find(strfmt("\"%s\":{", phase));
-    if (at == std::string::npos)
-        return -1.0;
-    const char *field = "\"rps\":";
-    const size_t val = json.find(field, at);
-    if (val == std::string::npos)
-        return -1.0;
-    return std::strtod(json.c_str() + val + std::strlen(field),
-                       nullptr);
-}
-
-int
-maxDropPercentFromEnv()
-{
-    const char *s = std::getenv("DMS_SERVE_MAX_DROP");
-    if (s == nullptr)
-        return 15;
-    int v = 0;
-    if (!parseInt(s, v) || v >= 100) {
-        warn("DMS_SERVE_MAX_DROP='%s' is not a percentage below "
-             "100; using 15",
-             s);
-        return 15;
-    }
-    return v;
-}
 
 } // namespace
 
@@ -471,47 +425,5 @@ main()
     std::printf("gate: warm/cold = %.1fx (>= %dx) ok\n",
                 warm_rps / cold_rps, min_speedup);
 
-    // Relative gate against a previous run of this bench (the CI
-    // perf-gate job builds the merge base in a worktree, runs it,
-    // and points DMS_SERVE_BASELINE at its BENCH_serve.json).
-    if (const char *bp = std::getenv("DMS_SERVE_BASELINE")) {
-        std::ifstream in(bp);
-        if (!in) {
-            warn("DMS_SERVE_BASELINE '%s' unreadable; skipping "
-                 "gate",
-                 bp);
-            return 0;
-        }
-        std::stringstream ss;
-        ss << in.rdbuf();
-        const std::string baseline = ss.str();
-        const int max_drop = maxDropPercentFromEnv();
-        const std::pair<const char *, double> phases[] = {
-            {"warm", warm_rps}, {"cold", cold_rps}};
-        bool dropped = false;
-        for (const auto &[phase, rps] : phases) {
-            const double base = baselineRps(baseline, phase);
-            if (base <= 0) {
-                warn("baseline has no %s rps; skipping its gate",
-                     phase);
-                continue;
-            }
-            const double floor = base * (100 - max_drop) / 100.0;
-            if (rps < floor) {
-                std::fprintf(stderr,
-                             "FAIL: %s %.0f req/s is more than "
-                             "%d%% below baseline %.0f (floor "
-                             "%.0f)\n",
-                             phase, rps, max_drop, base, floor);
-                dropped = true;
-                continue;
-            }
-            std::printf("gate: %s %.0f req/s vs baseline %.0f "
-                        "(floor %.0f) ok\n",
-                        phase, rps, base, floor);
-        }
-        if (dropped)
-            return 1;
-    }
     return 0;
 }

@@ -489,32 +489,38 @@ runNetworkLoadGenerator(const std::string &host, int port,
     // Pull the daemon's metrics over the wire, so the hit-rate
     // lines CI greps (and the --metrics-out artifact dmslint
     // audits) come from the server's counters, not the client's.
-    // The trace body is empty unless the *daemon* runs under
-    // DMS_TRACE=1.
+    // Both fetches retry like the load's requests, so one injected
+    // drop does not lose the summary. The trace body is empty
+    // unless the *daemon* runs under DMS_TRACE=1.
     NetClient nc;
+    Rng rng(seed);
     std::string error;
-    if (!nc.connect(host, port, 5000, error)) {
+    std::string text;
+    obs::MetricsSnapshot metrics;
+    if (!retryWithReconnect(
+            nc, host, port, 5000, policy, rng,
+            [&](std::string &err) { return nc.fetchMetrics(text, err); },
+            error) ||
+        !obs::metricsFromText(text, metrics, error)) {
         warn("metrics fetch: %s", error.c_str());
     } else {
-        std::string text;
-        obs::MetricsSnapshot metrics;
-        if (!nc.fetchMetrics(text, error) ||
-            !obs::metricsFromText(text, metrics, error)) {
-            warn("metrics fetch: %s", error.c_str());
-        } else {
-            printStatsSnapshot(serveStatsFromMetrics(metrics));
-            if (envInt("DMS_METRICS", 0, 0) > 0)
-                std::fputs(text.c_str(), stdout);
-            if (!metrics_out.empty())
-                writeTextFile(metrics_out, text);
-        }
-        if (!trace_out.empty()) {
-            std::string ttext;
-            if (!nc.fetchTrace(ttext, error))
-                warn("trace fetch: %s", error.c_str());
-            else
-                writeTextFile(trace_out, ttext);
-        }
+        printStatsSnapshot(serveStatsFromMetrics(metrics));
+        if (envInt("DMS_METRICS", 0, 0) > 0)
+            std::fputs(text.c_str(), stdout);
+        if (!metrics_out.empty())
+            writeTextFile(metrics_out, text);
+    }
+    if (!trace_out.empty()) {
+        std::string ttext;
+        if (!retryWithReconnect(
+                nc, host, port, 5000, policy, rng,
+                [&](std::string &err) {
+                    return nc.fetchTrace(ttext, err);
+                },
+                error))
+            warn("trace fetch: %s", error.c_str());
+        else
+            writeTextFile(trace_out, ttext);
     }
 
     // Every dispatched request must have resolved to exactly one

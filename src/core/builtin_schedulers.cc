@@ -29,13 +29,12 @@ class ImsScheduler final : public Scheduler
         return !machine.clustered();
     }
 
-    SchedulerResult
+    void
     schedule(const Ddg &body, const MachineModel &machine,
-             const SchedulerConfig &config) override
+             const SchedulerConfig &config,
+             SchedulerResult &result) override
     {
-        SchedulerResult result;
         result.sched = scheduleIms(body, machine, config.base);
-        return result;
     }
 };
 
@@ -51,16 +50,26 @@ class DmsScheduler final : public Scheduler
         return machine.clustered();
     }
 
-    SchedulerResult
+    void
     schedule(const Ddg &body, const MachineModel &machine,
-             const SchedulerConfig &config) override
+             const SchedulerConfig &config,
+             SchedulerResult &result) override
     {
-        DmsOutcome out = scheduleDms(body, machine, config.dms);
-        SchedulerResult result;
+        DmsOutcome out = arena_.schedule(body, machine, config.dms);
         result.sched = std::move(out.sched);
         result.ddg = std::move(out.ddg);
-        return result;
     }
+
+    void
+    recycle(SchedulerResult &&done) override
+    {
+        arena_.recycle(std::move(done.ddg),
+                       std::move(done.sched.schedule));
+    }
+
+  private:
+    /** Reused by every compile of the owning context. */
+    DmsArena arena_;
 };
 
 /** Partition-then-schedule baseline (paper refs [6]/[12]). */
@@ -75,9 +84,10 @@ class TwoPhaseScheduler final : public Scheduler
         return machine.clustered();
     }
 
-    SchedulerResult
+    void
     schedule(const Ddg &body, const MachineModel &machine,
-             const SchedulerConfig &config) override
+             const SchedulerConfig &config,
+             SchedulerResult &result) override
     {
         // Phase 2 modulo-schedules the *move-augmented* graph, whose
         // RecMII can exceed the input body's (chains lengthen
@@ -89,10 +99,8 @@ class TwoPhaseScheduler final : public Scheduler
         params.knownResMii = -1;
         params.knownRecMii = -1;
         TwoPhaseOutcome out = scheduleTwoPhase(body, machine, params);
-        SchedulerResult result;
         result.sched = std::move(out.sched);
         result.ddg = std::move(out.ddg);
-        return result;
     }
 };
 

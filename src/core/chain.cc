@@ -25,11 +25,17 @@ ChainRegistry::create(Ddg &ddg, EdgeId edge, const ClusterId *path,
     DMS_ASSERT(orig.kind == DepKind::Flow && !orig.replaced,
                "chaining a non-flow or already chained edge");
 
-    Chain c;
+    const int id = count_++;
+    if (static_cast<size_t>(id) == chains_.size())
+        chains_.emplace_back();
+    Chain &c = chains_[static_cast<size_t>(id)];
     c.originalEdge = edge;
     c.src = orig.src;
     c.dst = orig.dst;
+    c.moves.clear();
+    c.edges.clear();
     c.clusters.assign(path, path + path_len);
+    c.dissolved = false;
 
     ddg.markReplaced(edge);
 
@@ -50,22 +56,22 @@ ChainRegistry::create(Ddg &ddg, EdgeId edge, const ClusterId *path,
         size_t need = static_cast<size_t>(mv) + 1;
         if (chain_of_move_.size() < need)
             chain_of_move_.resize(need, -1);
-        chain_of_move_[static_cast<size_t>(mv)] =
-            static_cast<int>(chains_.size());
+        chain_of_move_[static_cast<size_t>(mv)] = id;
     }
     EdgeId last = ddg.addEdge(prev, orig.dst, DepKind::Flow, 0,
                               move_latency, orig.operandIndex);
     c.edges.push_back(last);
 
-    chains_.push_back(std::move(c));
-    live_ids_.push_back(static_cast<int>(chains_.size()) - 1);
-    return static_cast<int>(chains_.size()) - 1;
+    live_ids_.push_back(id);
+    return id;
 }
 
 void
 ChainRegistry::dissolve(int chain_id, Ddg &ddg, PartialSchedule &ps)
 {
-    Chain &c = chains_.at(static_cast<size_t>(chain_id));
+    DMS_ASSERT(chain_id >= 0 && chain_id < count_, "bad chain id %d",
+               chain_id);
+    Chain &c = chains_[static_cast<size_t>(chain_id)];
     DMS_ASSERT(!c.dissolved, "double dissolve of chain %d", chain_id);
 
     for (OpId mv : c.moves) {
@@ -115,18 +121,14 @@ ChainRegistry::chainsTouching(const Ddg &ddg, OpId op) const
 const Chain &
 ChainRegistry::chain(int id) const
 {
-    return chains_.at(static_cast<size_t>(id));
+    DMS_ASSERT(id >= 0 && id < count_, "bad chain id %d", id);
+    return chains_[static_cast<size_t>(id)];
 }
 
 int
 ChainRegistry::liveChainCount() const
 {
-    int n = 0;
-    for (const Chain &c : chains_) {
-        if (!c.dissolved)
-            ++n;
-    }
-    return n;
+    return static_cast<int>(live_ids_.size());
 }
 
 } // namespace dms

@@ -54,11 +54,15 @@ struct Chain
 class ChainRegistry
 {
   public:
-    /** Forget every chain (arena reuse between attempts). */
+    /**
+     * Forget every chain (arena reuse between attempts). The chain
+     * records stay allocated, and create() refills them, so the
+     * move, edge and cluster lists keep their buffers too.
+     */
     void
     reset()
     {
-        chains_.clear();
+        count_ = 0;
         chain_of_move_.clear();
         live_ids_.clear();
     }
@@ -109,14 +113,17 @@ class ChainRegistry
 
     const Chain &chain(int id) const;
 
-    /** Number of chains ever created (dissolved ones included). */
-    int numChains() const { return static_cast<int>(chains_.size()); }
+    /** Number of chains created since reset() (dissolved included). */
+    int numChains() const { return count_; }
 
     /** Count of live (not dissolved) chains. */
     int liveChainCount() const;
 
   private:
+    /** Records [0, count_) are this attempt's chains; the rest are
+     * spares from earlier attempts. */
     std::vector<Chain> chains_;
+    int count_ = 0;
     /** op -> owning chain id (grown on demand; -1 = none). */
     std::vector<int> chain_of_move_;
     /**

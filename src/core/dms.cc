@@ -63,25 +63,56 @@ struct ChainPlan
     }
 };
 
+} // namespace
+
 /**
- * DMS state reused across every (II, restart) attempt of one
- * scheduling run: the scratch graph, the partial schedule, the
- * chain registry, the height table, the priority worklist, the
- * incremental affinity rows and the per-placement scratch vectors
- * all live in one arena that beginAttempt() re-shapes without
- * reallocating.
+ * DMS state reused across every (II, restart) attempt of a
+ * scheduling run and, inside a DmsArena, across runs: the scratch
+ * graph, the partial schedule, the chain registry, the height
+ * table, the priority worklist, the incremental affinity rows and
+ * the per-placement scratch vectors all live in one arena that
+ * beginAttempt() re-shapes without reallocating.
  */
 class DmsAttempt
 {
   public:
-    DmsAttempt(const Ddg &original, const MachineModel &machine,
-               const DmsParams &params)
-        : original_(original), machine_(machine), params_(params),
-          // Empty: beginAttempt() resets it, then the schedule.
-          ddg_(std::make_unique<Ddg>()),
-          ps_(std::make_unique<PartialSchedule>(
-              *ddg_, machine, /*ii=*/1))
-    {}
+    /**
+     * Take back a graph and schedule handed out by an earlier run
+     * (the caller's previous result) where the arena has none of
+     * its own. beginAttempt() rebinds both, so any graph and
+     * schedule will do.
+     */
+    void
+    reclaim(std::unique_ptr<Ddg> &ddg,
+            std::unique_ptr<PartialSchedule> &ps)
+    {
+        if (ddg_ == nullptr)
+            ddg_ = std::move(ddg);
+        if (ps_ == nullptr)
+            ps_ = std::move(ps);
+    }
+
+    /**
+     * Bind the arena to one scheduling run's inputs. The height
+     * ladder forgets the previous run: it recognizes its graph by
+     * address and op count, which a new body rebuilt into the same
+     * scratch graph can share.
+     */
+    void
+    bind(const Ddg &original, const MachineModel &machine,
+         const DmsParams &params)
+    {
+        original_ = &original;
+        machine_ = &machine;
+        params_ = &params;
+        // Empty: beginAttempt() resets it, then the schedule.
+        if (ddg_ == nullptr)
+            ddg_ = std::make_unique<Ddg>();
+        if (ps_ == nullptr)
+            ps_ = std::make_unique<PartialSchedule>(*ddg_, machine,
+                                                    /*ii=*/1);
+        ladder_.invalidate();
+    }
 
     /**
      * Re-arm the arena for one (II, restart) attempt. False when
@@ -94,10 +125,10 @@ class DmsAttempt
     {
         ii_ = ii;
         variant_ = variant;
-        ddg_->resetTo(original_);
-        ps_->reset(ii);
+        ddg_->resetTo(*original_);
+        ps_->reset(*ddg_, *machine_, ii);
         chains_.reset();
-        affinity_tracker_.attach(*ddg_, *ps_, machine_);
+        affinity_tracker_.attach(*ddg_, *ps_, *machine_);
         // The graph is back to its original shape, so the ladder
         // reuses heights verbatim across restarts and delta-steps
         // across II increments.
@@ -138,20 +169,20 @@ class DmsAttempt
         return true;
     }
 
-    std::unique_ptr<Ddg>
-    takeDdg()
+    /**
+     * Move the successful attempt's graph and schedule out to the
+     * caller; the tracker stays behind with the arena.
+     */
+    void
+    handOut(SchedOutcome &sched, std::unique_ptr<Ddg> &scheduled)
     {
-        ddg_->setListener(nullptr); // tracker dies with the attempt
-        return std::move(ddg_);
+        affinity_tracker_.detach();
+        sched.movesInserted = liveMoves();
+        scheduled = std::move(ddg_);
+        sched.schedule = std::move(ps_);
     }
 
-    std::unique_ptr<PartialSchedule>
-    takeSchedule()
-    {
-        ps_->setListener(nullptr);
-        return std::move(ps_);
-    }
-
+  private:
     int
     liveMoves() const
     {
@@ -165,7 +196,6 @@ class DmsAttempt
         return n;
     }
 
-  private:
     void
     scheduleOp(OpId op)
     {
@@ -178,7 +208,7 @@ class DmsAttempt
         affinity_tracker_.order(op, variant_, affinity_);
         if (strategy1(op))
             return;
-        if (params_.enableChains && strategy2(op))
+        if (params_->enableChains && strategy2(op))
             return;
         strategy3(op);
     }
@@ -193,7 +223,7 @@ class DmsAttempt
     {
         Cycle early = ps_->earlyStart(op);
         for (ClusterId c : affinity_) {
-            if (!commOkAt(*ddg_, *ps_, machine_, op, c))
+            if (!commOkAt(*ddg_, *ps_, *machine_, op, c))
                 continue;
             Cycle slot = ps_->findFreeSlot(op, c, early);
             if (slot == kUnscheduled)
@@ -218,7 +248,7 @@ class DmsAttempt
 
         // Free copy-unit slots per cluster, the quantity the
         // paper's selection rule preserves.
-        const int nc = machine_.numClusters();
+        const int nc = machine_->numClusters();
         base_free_.assign(static_cast<size_t>(nc), 0);
         for (ClusterId c = 0; c < nc; ++c) {
             base_free_[static_cast<size_t>(c)] =
@@ -230,9 +260,9 @@ class DmsAttempt
         int best_moves = 0;
 
         for (ClusterId c : affinity_) {
-            if (!succsOkAt(*ddg_, *ps_, machine_, op, c))
+            if (!succsOkAt(*ddg_, *ps_, *machine_, op, c))
                 continue;
-            farPredecessorEdges(*ddg_, *ps_, machine_, op, c,
+            farPredecessorEdges(*ddg_, *ps_, *machine_, op, c,
                                 far_edges_);
             if (far_edges_.empty())
                 continue; // strategy 1 territory; resources failed
@@ -295,7 +325,7 @@ class DmsAttempt
 
         for (int r = 0; r < MachineModel::kNumRoutes; ++r) {
             std::vector<ClusterId> &path = route_scratch_[r];
-            machine_.routeBetween(from, target, r, path);
+            machine_->routeBetween(from, target, r, path);
             if (path.empty())
                 continue; // would be adjacent; not a far edge
             bool fits = true;
@@ -315,7 +345,7 @@ class DmsAttempt
             bool better;
             if (best_path == nullptr) {
                 better = true;
-            } else if (params_.chainRule ==
+            } else if (params_->chainRule ==
                        ChainSelectRule::MaxFreeSlots) {
                 better = min_free > best_min_free ||
                          (min_free == best_min_free &&
@@ -344,7 +374,7 @@ class DmsAttempt
     commitStrategy2(OpId op, ClusterId cluster,
                     const ChainPlan &plan)
     {
-        const int move_lat = machine_.latencyOf(Opcode::Move);
+        const int move_lat = machine_->latencyOf(Opcode::Move);
         created_.clear();
 
         for (int i = 0; i < plan.chainCount(); ++i) {
@@ -411,9 +441,9 @@ class DmsAttempt
     strategy3(OpId op)
     {
         ClusterId cluster = kInvalidCluster;
-        if (params_.s3Policy == S3ClusterPolicy::PreferCommOk) {
+        if (params_->s3Policy == S3ClusterPolicy::PreferCommOk) {
             for (ClusterId c : affinity_) {
-                if (commOkAt(*ddg_, *ps_, machine_, op, c)) {
+                if (commOkAt(*ddg_, *ps_, *machine_, op, c)) {
                     cluster = c;
                     break;
                 }
@@ -422,7 +452,7 @@ class DmsAttempt
         if (cluster == kInvalidCluster) {
             cluster = static_cast<ClusterId>(
                 (op + ps_->placementCount(op) + variant_) %
-                machine_.numClusters());
+                machine_->numClusters());
         }
 
         Cycle early = ps_->earlyStart(op);
@@ -438,7 +468,7 @@ class DmsAttempt
         ejectViolatedSuccessors(op);
 
         // Communication conflicts: eject the far peers.
-        commConflictPeers(*ddg_, *ps_, machine_, op, peers_);
+        commConflictPeers(*ddg_, *ps_, *machine_, op, peers_);
         for (OpId peer : peers_) {
             if (ps_->isScheduled(peer))
                 backtrackUnschedule(peer);
@@ -527,9 +557,9 @@ class DmsAttempt
             chains_.dissolve(cid, *ddg_, *ps_);
     }
 
-    const Ddg &original_;
-    const MachineModel &machine_;
-    const DmsParams &params_;
+    const Ddg *original_ = nullptr;
+    const MachineModel *machine_ = nullptr;
+    const DmsParams *params_ = nullptr;
     int ii_ = 0;
     int variant_ = 0;
     std::unique_ptr<Ddg> ddg_;
@@ -554,6 +584,8 @@ class DmsAttempt
     ChainPlan best_plan_;
     std::vector<ClusterId> route_scratch_[MachineModel::kNumRoutes];
 };
+
+namespace {
 
 /**
  * Per-attempt ledger for the speculative ladder. Slot k describes
@@ -657,26 +689,32 @@ mergeRecords(const std::vector<AttemptRecord> &records, int base,
  * after a failure keeps the common first-attempt success free of
  * pool handoffs and second-arena setup.
  *
- * Returns false (leaving @p out untouched) when the pool is busy;
- * the caller then just continues its serial loop.
+ * Lane 0 runs in the caller's arena; lane 1 gets an arena of its
+ * own for this call only, so a reused arena never has a second lane
+ * writing into it.
+ *
+ * Returns false (leaving @p sched and @p scheduled untouched) when
+ * the pool is busy; the caller then just continues its serial loop.
  */
 bool
 scheduleDmsSpeculative(const Ddg &ddg, const MachineModel &machine,
                        const DmsParams &params, DmsAttempt &lane0,
-                       int k0, int total, long budget,
-                       int restarts, DmsOutcome &out)
+                       int k0, int total, long budget, int restarts,
+                       SchedOutcome &sched,
+                       std::unique_ptr<Ddg> &scheduled)
 {
     std::unique_lock<std::mutex> guard(speculationMutex(),
                                        std::try_to_lock);
     if (!guard.owns_lock())
         return false; // pool busy: caller runs the serial ladder
 
-    const int mii = out.sched.mii;
+    const int mii = sched.mii;
     std::vector<AttemptRecord> records(
         static_cast<size_t>(total - k0));
     std::atomic<int> winner{INT_MAX};
 
-    DmsAttempt lane1(ddg, machine, params);
+    DmsAttempt lane1;
+    lane1.bind(ddg, machine, params);
     ThreadPool &pool = speculationPool();
     pool.submit([&] {
         runSpeculativeLane(lane1, k0 + 1, k0, total, mii, restarts,
@@ -696,37 +734,44 @@ scheduleDmsSpeculative(const Ddg &ddg, const MachineModel &machine,
 
     const int win = winner.load(std::memory_order_acquire);
     if (win == INT_MAX) {
-        mergeRecords(records, k0, total - 1, out.sched);
+        mergeRecords(records, k0, total - 1, sched);
         return true; // exhausted ladder, like serial
     }
-    mergeRecords(records, k0, win, out.sched);
+    mergeRecords(records, k0, win, sched);
     DmsAttempt &winning = (win - k0) % 2 == 0 ? lane0 : lane1;
-    out.sched.ok = true;
-    out.sched.ii = mii + win / restarts;
-    out.sched.movesInserted = winning.liveMoves();
-    out.ddg = winning.takeDdg();
-    out.sched.schedule = winning.takeSchedule();
+    sched.ok = true;
+    sched.ii = mii + win / restarts;
+    winning.handOut(sched, scheduled);
     return true;
 }
 
 } // namespace
 
+DmsArena::DmsArena() : attempt_(std::make_unique<DmsAttempt>()) {}
+
+DmsArena::~DmsArena() = default;
+
 DmsOutcome
-scheduleDms(const Ddg &ddg, const MachineModel &machine,
-            const DmsParams &params)
+DmsArena::schedule(const Ddg &ddg, const MachineModel &machine,
+                   const DmsParams &params)
 {
     DMS_ASSERT(machine.clustered(),
                "DMS targets clustered machines; use scheduleIms for "
                "the unclustered model");
 
     DmsOutcome out;
-    out.sched.resMii = params.knownResMii >= 0 ? params.knownResMii
+    SchedOutcome &sched = out.sched;
+    std::unique_ptr<Ddg> &scheduled = out.ddg;
+    DmsAttempt &attempt = *attempt_;
+    attempt.bind(ddg, machine, params);
+
+    sched.resMii = params.knownResMii >= 0 ? params.knownResMii
                                                : resMii(ddg, machine);
-    out.sched.recMii = params.knownRecMii >= 0 ? params.knownRecMii
+    sched.recMii = params.knownRecMii >= 0 ? params.knownRecMii
                                                : recMii(ddg);
-    out.sched.mii = std::max(out.sched.resMii, out.sched.recMii);
+    sched.mii = std::max(sched.resMii, sched.recMii);
     int max_ii = params.maxII > 0 ? params.maxII
-                                  : defaultMaxII(out.sched.mii);
+                                  : defaultMaxII(sched.mii);
 
     long budget =
         static_cast<long>(params.budgetRatio) * ddg.liveOpCount();
@@ -734,7 +779,7 @@ scheduleDms(const Ddg &ddg, const MachineModel &machine,
 
     const int restarts = std::max(1, params.restartsPerII);
     const int total =
-        std::max(0, (max_ii - out.sched.mii + 1) * restarts);
+        std::max(0, (max_ii - sched.mii + 1) * restarts);
 
     // Explicit 0/1 wins; -1 resolves the environment knob, and the
     // resolved-on path still backs off on single-core hosts where a
@@ -747,7 +792,6 @@ scheduleDms(const Ddg &ddg, const MachineModel &machine,
             : envInt("DMS_SPECULATE_II", 0, 0) > 0 &&
                   std::thread::hardware_concurrency() >= 2;
 
-    DmsAttempt attempt(ddg, machine, params);
     // Rung spans for the serial ladder only: the speculative walk
     // runs attempts on pool threads whose interleaving is
     // nondeterministic, so those stay uninstrumented (their
@@ -755,21 +799,19 @@ scheduleDms(const Ddg &ddg, const MachineModel &machine,
     obs::Trace *tr =
         obs::traceArmed() ? obs::currentTrace() : nullptr;
     for (int k = 0; k < total; ++k) {
-        const int ii = out.sched.mii + k / restarts;
+        const int ii = sched.mii + k / restarts;
         const int v = k % restarts;
-        ++out.sched.attempts;
+        ++sched.attempts;
         obs::ScopedSpan rung(tr, "sched.attempt");
         if (tr != nullptr)
             rung.note(strfmt("ii=%d restart=%d", ii, v));
         // A beginAttempt failure is a recoverable "II below RecMII"
         // miss (hostile hint): record a failed attempt and climb.
         if (attempt.beginAttempt(ii, v) &&
-            attempt.run(budget, out.sched.budgetUsed)) {
-            out.sched.ok = true;
-            out.sched.ii = ii;
-            out.sched.movesInserted = attempt.liveMoves();
-            out.ddg = attempt.takeDdg();
-            out.sched.schedule = attempt.takeSchedule();
+            attempt.run(budget, sched.budgetUsed)) {
+            sched.ok = true;
+            sched.ii = ii;
+            attempt.handOut(sched, scheduled);
             return out;
         }
         // First failure: the rest of the ladder is the expensive
@@ -779,11 +821,25 @@ scheduleDms(const Ddg &ddg, const MachineModel &machine,
         if (speculate && k + 1 < total &&
             scheduleDmsSpeculative(ddg, machine, params, attempt,
                                    k + 1, total, budget, restarts,
-                                   out)) {
+                                   sched, scheduled)) {
             return out;
         }
     }
     return out;
+}
+
+void
+DmsArena::recycle(std::unique_ptr<Ddg> ddg,
+                  std::unique_ptr<PartialSchedule> schedule)
+{
+    attempt_->reclaim(ddg, schedule);
+}
+
+DmsOutcome
+scheduleDms(const Ddg &ddg, const MachineModel &machine,
+            const DmsParams &params)
+{
+    return DmsArena().schedule(ddg, machine, params);
 }
 
 } // namespace dms

@@ -119,8 +119,49 @@ struct DmsOutcome
     std::unique_ptr<Ddg> ddg;
 };
 
+class DmsAttempt;
+
 /**
- * Schedule a loop body on a clustered machine with DMS.
+ * The state DMS reuses from run to run: the scratch graph the chains
+ * are spliced into, the partial schedule and its reservation table,
+ * the height ladder, the worklist, the affinity rows and the
+ * per-placement scratch. Whoever schedules loop after loop keeps one
+ * (the registry's "dms" instance, cached per CompilationContext),
+ * so a warm compile re-shapes these buffers instead of allocating
+ * them. Not thread-safe; one arena per worker.
+ */
+class DmsArena
+{
+  public:
+    DmsArena();
+    ~DmsArena();
+    DmsArena(const DmsArena &) = delete;
+    DmsArena &operator=(const DmsArena &) = delete;
+
+    /**
+     * Schedule @p ddg on @p machine (see scheduleDms) in this
+     * arena's buffers. On success the winning graph and schedule
+     * are moved out into the outcome; on failure both are null and
+     * the arena keeps the buffers.
+     */
+    DmsOutcome schedule(const Ddg &ddg, const MachineModel &machine,
+                        const DmsParams &params);
+
+    /**
+     * Take back a graph and schedule the caller is done with
+     * (typically an earlier outcome of this arena) so the next
+     * schedule() reuses their buffers. Either may be null.
+     */
+    void recycle(std::unique_ptr<Ddg> ddg,
+                 std::unique_ptr<PartialSchedule> schedule);
+
+  private:
+    std::unique_ptr<DmsAttempt> attempt_;
+};
+
+/**
+ * Schedule a loop body on a clustered machine with DMS, in a fresh
+ * arena.
  *
  * @param ddg the loop body. On queue-file machines run
  *        singleUsePrepass() first; DMS asserts the fan-out bound.

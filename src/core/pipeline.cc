@@ -1,6 +1,7 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/analyze.h"
 #include "codegen/emit.h"
@@ -58,7 +59,7 @@ stageUnroll(const PipelineOptions &opts, const Loop &loop,
         if (opts.forceUnroll == 1)
             ctx.body.resetTo(loop.ddg);
         else
-            ctx.body = unrollDdg(loop.ddg, opts.forceUnroll);
+            unrollDdg(loop.ddg, opts.forceUnroll, ctx.body);
     } else {
         applyUnrollPolicy(loop.ddg, machine, ctx.body,
                           opts.unrollMaxFactor, opts.unrollMaxOps);
@@ -106,7 +107,11 @@ stageSchedule(const PipelineOptions &opts, const Loop &,
     config.base.knownRecMii = ctx.recMii;
     config.dms.knownResMii = ctx.resMii;
     config.dms.knownRecMii = ctx.recMii;
-    ctx.result = sched.schedule(ctx.body, machine, config);
+    // The previous compile's graph and schedule go back to the
+    // scheduler (DMS reuses their buffers), so every run starts
+    // from an empty result and a throwing one leaves it empty.
+    sched.recycle(std::exchange(ctx.result, SchedulerResult{}));
+    sched.schedule(ctx.body, machine, config, ctx.result);
     return ctx.result.sched.ok;
 }
 

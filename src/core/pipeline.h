@@ -80,9 +80,11 @@ struct PipelineOptions
 
 /**
  * Owns the artifacts flowing between stages and the per-context
- * scheduler instances. Reusable: the schedulers are created once and
- * a factor-1 body is reset into the previous body's buffers; an
- * unrolled body and each scheduling run's arena are built afresh.
+ * scheduler instances. Reusable: the schedulers are created once,
+ * the body (unrolled or not) is rebuilt in the previous body's
+ * buffers, and the DMS scheduler's arena takes the previous
+ * result's graph and schedule back before each run, so a warm
+ * context's unroll and schedule stages do not allocate per op.
  */
 class CompilationContext
 {

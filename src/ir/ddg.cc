@@ -19,6 +19,71 @@ depKindName(DepKind kind)
     panic("bad dep kind %d", static_cast<int>(kind));
 }
 
+EdgeList &
+EdgeList::operator=(const EdgeList &other)
+{
+    if (this == &other)
+        return *this;
+    if (other.size_ > cap_) {
+        // The old contents are overwritten: drop them rather than
+        // let grow() copy them over.
+        size_ = 0;
+        grow(other.size_);
+    }
+    std::copy(other.begin(), other.end(), data());
+    size_ = other.size_;
+    return *this;
+}
+
+EdgeList &
+EdgeList::operator=(EdgeList &&other) noexcept
+{
+    if (this == &other)
+        return *this;
+    if (other.spilled()) {
+        release();
+        heap_ = other.heap_;
+        cap_ = other.cap_;
+        other.cap_ = kInline;
+    } else {
+        std::copy(other.begin(), other.end(), data());
+    }
+    size_ = other.size_;
+    other.size_ = 0;
+    return *this;
+}
+
+void
+EdgeList::erase(const EdgeId *pos)
+{
+    EdgeId *first = data();
+    DMS_ASSERT(pos >= first && pos < first + size_,
+               "erase outside the edge list");
+    EdgeId *at = first + (pos - first);
+    std::copy(at + 1, first + size_, at);
+    --size_;
+}
+
+void
+EdgeList::grow(std::size_t n)
+{
+    DMS_ASSERT(n > kInline && n <= UINT32_MAX, "bad edge list size %zu",
+               n);
+    EdgeId *buf = new EdgeId[n];
+    std::copy(begin(), end(), buf);
+    release();
+    heap_ = buf;
+    cap_ = static_cast<std::uint32_t>(n);
+}
+
+void
+EdgeList::release()
+{
+    if (spilled())
+        delete[] heap_;
+    cap_ = kInline;
+}
+
 OpId
 Ddg::addOp(Opcode opc, OpOrigin origin)
 {
@@ -37,16 +102,32 @@ void
 Ddg::resetTo(const Ddg &original)
 {
     DMS_ASSERT(this != &original, "resetTo self");
-    // Vector copy-assignment reuses the destination buffers when
-    // capacity allows — including the per-operation ins/outs
-    // vectors of the common prefix — which is what makes repeated
-    // attempts allocation-free in steady state. An attached
-    // listener survives (and fires nothing); it must rebuild its
-    // own state after the reset.
+    // Vector copy-assignment reuses the destination arrays when
+    // capacity allows, and an inline adjacency list copies without
+    // allocating (a spilled one reuses its buffer when it fits), so
+    // repeated resets are allocation-free in steady state. An
+    // attached listener survives (and fires nothing); it must
+    // rebuild its own state after the reset.
     ops_ = original.ops_;
     edges_ = original.edges_;
     live_ops_ = original.live_ops_;
     unroll_factor_ = original.unroll_factor_;
+}
+
+void
+Ddg::clear()
+{
+    ops_.clear();
+    edges_.clear();
+    live_ops_ = 0;
+    unroll_factor_ = 1;
+}
+
+void
+Ddg::reserve(int ops, int edges)
+{
+    ops_.reserve(static_cast<size_t>(ops));
+    edges_.reserve(static_cast<size_t>(edges));
 }
 
 EdgeId
@@ -92,7 +173,7 @@ Ddg::removeEdge(EdgeId eid)
     DMS_ASSERT(!e.dead, "removing dead edge %d", eid);
     if (listener_ != nullptr && !e.replaced)
         listener_->onEdgeDeactivated(eid);
-    auto unlink = [eid](std::vector<EdgeId> &v) {
+    auto unlink = [eid](EdgeList &v) {
         auto it = std::find(v.begin(), v.end(), eid);
         DMS_ASSERT(it != v.end(), "edge %d missing from adjacency",
                    eid);

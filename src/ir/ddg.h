@@ -15,7 +15,10 @@
  * across mutation.
  */
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ir/opcode.h"
@@ -39,6 +42,83 @@ enum class OpOrigin : std::uint8_t {
     Original,  ///< part of the source loop body
     CopyOp,    ///< inserted by the single-use lifetime pre-pass
     MoveOp,    ///< inserted by a DMS chain (strategy 2)
+};
+
+/**
+ * Adjacency list of one operation: edge ids in insertion order. The
+ * first kInline ids live inside the list itself; only a list that
+ * grows past that spills to the heap. After the copy pre-pass every
+ * op has at most two in- and two out-edges (and nearly every op has
+ * at most four out-edges before it), so building, copying,
+ * unrolling and resetting a graph allocate nothing per operation.
+ *
+ * Keeps the part of the std::vector API the graph code uses; erase()
+ * preserves the order of the remaining ids, like vector::erase.
+ */
+class EdgeList
+{
+  public:
+    static constexpr std::uint32_t kInline = 4;
+
+    EdgeList() = default;
+    EdgeList(const EdgeList &other) { *this = other; }
+    EdgeList(EdgeList &&other) noexcept { *this = std::move(other); }
+    EdgeList &operator=(const EdgeList &other);
+    EdgeList &operator=(EdgeList &&other) noexcept;
+    ~EdgeList() { release(); }
+
+    const EdgeId *begin() const { return data(); }
+    const EdgeId *end() const { return data() + size_; }
+
+    std::size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+
+    EdgeId
+    operator[](std::size_t i) const
+    {
+        DMS_ASSERT(i < size_, "edge list index %zu of %u", i, size_);
+        return data()[i];
+    }
+
+    void
+    push_back(EdgeId e)
+    {
+        if (size_ == cap_)
+            grow(2 * cap_);
+        data()[size_++] = e;
+    }
+
+    void
+    reserve(std::size_t n)
+    {
+        if (n > cap_)
+            grow(n);
+    }
+
+    /** Drop every id; a spilled buffer is kept for reuse. */
+    void clear() { size_ = 0; }
+
+    /** Remove the id at @p pos, keeping the others in order. */
+    void erase(const EdgeId *pos);
+
+  private:
+    bool spilled() const { return cap_ > kInline; }
+    EdgeId *data() { return spilled() ? heap_ : inline_; }
+    const EdgeId *data() const { return spilled() ? heap_ : inline_; }
+
+    /** Move to a heap buffer of @p n ids, keeping the contents. */
+    void grow(std::size_t n);
+
+    /** Free a spilled buffer and go back to inline storage. */
+    void release();
+
+    std::uint32_t size_ = 0;
+    std::uint32_t cap_ = kInline;
+    union
+    {
+        EdgeId inline_[kInline];
+        EdgeId *heap_;
+    };
 };
 
 /**
@@ -71,11 +151,15 @@ struct Operation
     /** Literal for Const operations. */
     std::int64_t literal = 0;
 
-    /** In-edge ids (live and dead; check Edge::dead). */
-    std::vector<EdgeId> ins;
+    /**
+     * In-edge ids in insertion order. removeEdge() unlinks an edge,
+     * so these are live edges, replaced ones included (check
+     * Ddg::edgeActive).
+     */
+    EdgeList ins;
 
-    /** Out-edge ids. */
-    std::vector<EdgeId> outs;
+    /** Out-edge ids, same rules as @c ins. */
+    EdgeList outs;
 };
 
 /** One dependence edge. */
@@ -149,11 +233,22 @@ class Ddg
 
     /**
      * Make this graph a copy of @p original while reusing the
-     * existing allocations (including each operation's adjacency
-     * buffers), so one scratch graph serves every (II, restart)
-     * attempt of a scheduling run without churning the allocator.
+     * existing allocations (the op and edge arrays; adjacency lists
+     * are inline up to EdgeList::kInline ids), so one scratch graph
+     * serves every (II, restart) attempt and every compile of a DMS
+     * arena without churning the allocator.
      */
     void resetTo(const Ddg &original);
+
+    /**
+     * Empty the graph (unroll factor back to 1) but keep its
+     * buffers: the rebuild-in-place counterpart of resetTo() for
+     * passes that construct a new body (unrollDdg).
+     */
+    void clear();
+
+    /** Reserve room for @p ops operations and @p edges edges. */
+    void reserve(int ops, int edges);
 
     /**
      * Add a dependence edge.

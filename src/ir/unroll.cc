@@ -4,21 +4,32 @@
 
 namespace dms {
 
-Ddg
-unrollDdg(const Ddg &ddg, int factor)
+void
+unrollDdg(const Ddg &ddg, int factor, Ddg &out)
 {
     DMS_ASSERT(factor >= 1, "bad unroll factor %d", factor);
     DMS_ASSERT(ddg.unrollFactor() == 1, "re-unrolling a body");
+    DMS_ASSERT(&out != &ddg, "unrolling a body into itself");
 
-    Ddg out;
+    out.clear();
     out.setUnrollFactor(factor);
+    out.reserve(ddg.liveOpCount() * factor, ddg.numEdges() * factor);
 
-    // new id of (original op, copy j) at [op * factor + j];
-    // kInvalidOp for dead originals.
-    std::vector<OpId> ids(static_cast<size_t>(ddg.numOps() * factor),
-                          kInvalidOp);
-    auto idOf = [&](OpId op, int j) -> OpId & {
-        return ids[static_cast<size_t>(op * factor + j)];
+    // Copies are appended original by original, so copy j of the
+    // r-th live original gets id r * factor + j. With no dead
+    // originals r is the op id itself and no table is needed.
+    std::vector<OpId> rank;
+    if (ddg.liveOpCount() != ddg.numOps()) {
+        rank.assign(static_cast<size_t>(ddg.numOps()), kInvalidOp);
+        OpId r = 0;
+        for (OpId id = 0; id < ddg.numOps(); ++id) {
+            if (ddg.opLive(id))
+                rank[static_cast<size_t>(id)] = r++;
+        }
+    }
+    auto idOf = [&](OpId op, int j) -> OpId {
+        OpId r = rank.empty() ? op : rank[static_cast<size_t>(op)];
+        return r * factor + j;
     };
 
     for (OpId id = 0; id < ddg.numOps(); ++id) {
@@ -29,6 +40,7 @@ unrollDdg(const Ddg &ddg, int factor)
                    "unrolling a transformed body (op %d)", id);
         for (int j = 0; j < factor; ++j) {
             OpId nid = out.addOp(o.opc, o.origin);
+            DMS_ASSERT(nid == idOf(id, j), "unroll id mismatch");
             Operation &n = out.op(nid);
             n.origId = o.origId;
             n.iterOffset = j;
@@ -38,7 +50,6 @@ unrollDdg(const Ddg &ddg, int factor)
             // Every copy gets exactly the original's degree.
             n.ins.reserve(o.ins.size());
             n.outs.reserve(o.outs.size());
-            idOf(id, j) = nid;
         }
     }
 
@@ -58,7 +69,13 @@ unrollDdg(const Ddg &ddg, int factor)
                         ndist, ed.latency, ed.operandIndex);
         }
     }
+}
 
+Ddg
+unrollDdg(const Ddg &ddg, int factor)
+{
+    Ddg out;
+    unrollDdg(ddg, factor, out);
     return out;
 }
 

@@ -29,6 +29,13 @@ namespace dms {
  */
 Ddg unrollDdg(const Ddg &ddg, int factor);
 
+/**
+ * Rebuild-in-place variant: writes the unrolled body into @p out
+ * (which must not be @p ddg), reusing its buffers, so a context that
+ * compiles loop after loop unrolls without allocating once warm.
+ */
+void unrollDdg(const Ddg &ddg, int factor, Ddg &out);
+
 } // namespace dms
 
 #endif // DMS_IR_UNROLL_H

@@ -19,8 +19,15 @@ lowBits(int n)
 } // namespace
 
 ReservationTable::ReservationTable(const MachineModel &machine, int ii)
-    : machine_(machine)
+    : machine_(&machine)
 {
+    reset(ii);
+}
+
+void
+ReservationTable::reset(const MachineModel &machine, int ii)
+{
+    machine_ = &machine;
     reset(ii);
 }
 
@@ -32,18 +39,18 @@ ReservationTable::reset(int ii)
     words_ = (ii + 63) / 64;
 
     const size_t blocks =
-        static_cast<size_t>(machine_.numClusters()) * kNumFuClasses;
+        static_cast<size_t>(machine_->numClusters()) * kNumFuClasses;
     block_.resize(blocks);
     free_count_.resize(blocks);
     free_rows_.assign(blocks * static_cast<size_t>(words_), 0);
     free_insts_.resize(blocks * static_cast<size_t>(ii_));
 
     int off = 0;
-    for (ClusterId c = 0; c < machine_.numClusters(); ++c) {
+    for (ClusterId c = 0; c < machine_->numClusters(); ++c) {
         for (int cls = 0; cls < kNumFuClasses; ++cls) {
             const size_t b = blockIndex(c, static_cast<FuClass>(cls));
             const int per =
-                machine_.fusPerCluster(static_cast<FuClass>(cls));
+                machine_->fusPerCluster(static_cast<FuClass>(cls));
             DMS_ASSERT(per <= 64, "more than 64 %s units per cluster",
                        fuClassName(static_cast<FuClass>(cls)));
             block_[b] = off;
@@ -73,10 +80,10 @@ size_t
 ReservationTable::index(ClusterId cluster, FuClass cls, int instance,
                         int row) const
 {
-    DMS_ASSERT(cluster >= 0 && cluster < machine_.numClusters(),
+    DMS_ASSERT(cluster >= 0 && cluster < machine_->numClusters(),
                "bad cluster %d", cluster);
     DMS_ASSERT(row >= 0 && row < ii_, "bad row %d", row);
-    int per = machine_.fusPerCluster(cls);
+    int per = machine_->fusPerCluster(cls);
     DMS_ASSERT(instance >= 0 && instance < per,
                "bad instance %d of class %s", instance,
                fuClassName(cls));
@@ -187,7 +194,7 @@ ReservationTable::occupants(ClusterId cluster, FuClass cls,
                             int row) const
 {
     std::vector<OpId> out;
-    int per = machine_.fusPerCluster(cls);
+    int per = machine_->fusPerCluster(cls);
     for (int i = 0; i < per; ++i) {
         OpId o = at(cluster, cls, i, row);
         if (o != kInvalidOp)

@@ -44,6 +44,14 @@ class ReservationTable
      */
     void reset(int ii);
 
+    /**
+     * Rebind to @p machine, which may differ in shape, and reset(ii).
+     * How a reused scheduling arena follows a compile to a new
+     * machine: the service frees each request's machine with the
+     * request.
+     */
+    void reset(const MachineModel &machine, int ii);
+
     int ii() const { return ii_; }
 
     /** Occupant of a slot, or kInvalidOp. */
@@ -107,14 +115,14 @@ class ReservationTable
     size_t
     rowIndex(ClusterId cluster, FuClass cls, int row) const
     {
-        DMS_ASSERT(cluster >= 0 && cluster < machine_.numClusters(),
+        DMS_ASSERT(cluster >= 0 && cluster < machine_->numClusters(),
                    "bad cluster %d", cluster);
         DMS_ASSERT(row >= 0 && row < ii_, "bad row %d", row);
         return blockIndex(cluster, cls) * static_cast<size_t>(ii_) +
                static_cast<size_t>(row);
     }
 
-    const MachineModel &machine_;
+    const MachineModel *machine_;
     int ii_;
     /** 64-bit words per (cluster, class) row bitmask. */
     int words_;

@@ -69,7 +69,8 @@ bool tryComputeHeights(const Ddg &ddg, int ii, Heights &out);
  * The bound graph must be structurally identical (same ops, same
  * active edges) at every ensure() call; the DMS attempt arena
  * guarantees this by resetting its scratch graph to the original
- * before recomputing heights.
+ * before recomputing heights, and calls invalidate() before it
+ * rebuilds that graph from another body.
  *
  * Divergence (ensure() == false) marks the table invalid; the next
  * ensure() falls back to a full relaxation, so a ladder that starts
@@ -87,6 +88,19 @@ class HeightLadder
 
     /** The table for the last successful ensure(). */
     const Heights &heights() const { return h_; }
+
+    /**
+     * Forget the bound graph. ensure() recognizes its graph by
+     * address and op count only, so a caller that rebuilds a
+     * different body into the same Ddg object (a reused DMS arena)
+     * must invalidate first, or stale heights pass for fresh ones.
+     */
+    void
+    invalidate()
+    {
+        ddg_ = nullptr;
+        valid_ = false;
+    }
 
     /** @name Ladder statistics (bench/sched_hotpath reporting) */
     /// @{

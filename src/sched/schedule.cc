@@ -8,7 +8,7 @@ namespace dms {
 
 PartialSchedule::PartialSchedule(const Ddg &ddg,
                                  const MachineModel &machine, int ii)
-    : ddg_(&ddg), machine_(machine), ii_(ii), rt_(machine, ii)
+    : ddg_(&ddg), machine_(&machine), ii_(ii), rt_(machine, ii)
 {
     ensureSize(ddg.numOps() - 1);
 }
@@ -16,8 +16,17 @@ PartialSchedule::PartialSchedule(const Ddg &ddg,
 void
 PartialSchedule::reset(int ii)
 {
+    reset(*ddg_, *machine_, ii);
+}
+
+void
+PartialSchedule::reset(const Ddg &ddg, const MachineModel &machine,
+                       int ii)
+{
+    ddg_ = &ddg;
+    machine_ = &machine;
     ii_ = ii;
-    rt_.reset(ii);
+    rt_.reset(machine, ii);
     const size_t n = static_cast<size_t>(ddg_->numOps());
     placements_.assign(n, Placement{});
     last_time_.assign(n, kUnscheduled);
@@ -110,7 +119,7 @@ PartialSchedule::placeEvicting(OpId op, Cycle cycle, ClusterId cluster,
     // re-place straight into its instance (the only free one).
     FuClass cls = fuClassOf(ddg_->op(op).opc);
     int row = cycle % ii_;
-    int per = machine_.fusPerCluster(cls);
+    int per = machine_->fusPerCluster(cls);
     DMS_ASSERT(per > 0, "no %s units in cluster %d",
                fuClassName(cls), cluster);
     int victim_inst = 0;

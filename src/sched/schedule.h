@@ -71,8 +71,15 @@ class PartialSchedule
      */
     void reset(int ii);
 
+    /**
+     * Rebind to another graph and machine (of any shape), then
+     * reset(ii): how a reused scheduling arena carries one schedule
+     * object from compile to compile.
+     */
+    void reset(const Ddg &ddg, const MachineModel &machine, int ii);
+
     int ii() const { return ii_; }
-    const MachineModel &machine() const { return machine_; }
+    const MachineModel &machine() const { return *machine_; }
     const Ddg &ddg() const { return *ddg_; }
 
     /**
@@ -176,7 +183,7 @@ class PartialSchedule
                  FuClass cls, int instance);
 
     const Ddg *ddg_;
-    const MachineModel &machine_;
+    const MachineModel *machine_;
     int ii_;
     ReservationTable rt_;
     mutable std::vector<Placement> placements_;

@@ -68,11 +68,20 @@ class Scheduler
 
     /**
      * Schedule @p body (already unrolled and, on queue-file
-     * machines, pre-passed) on @p machine.
+     * machines, pre-passed) on @p machine into @p result, which is
+     * empty on entry.
      */
-    virtual SchedulerResult schedule(const Ddg &body,
-                                     const MachineModel &machine,
-                                     const SchedulerConfig &config) = 0;
+    virtual void schedule(const Ddg &body, const MachineModel &machine,
+                          const SchedulerConfig &config,
+                          SchedulerResult &result) = 0;
+
+    /**
+     * Take back a result the caller is done with (the pipeline
+     * hands over the previous compile's before each run). A
+     * scheduler with an arena reuses its buffers; the default
+     * drops it.
+     */
+    virtual void recycle(SchedulerResult &&) {}
 };
 
 /** Factory: a fresh scheduler instance per compilation context. */

@@ -99,23 +99,21 @@ compileWithRetry(CompileService &service, CompileRequest request,
 {
     request.deadlineMs = policy.deadlineMs;
     CompileService::ResultPtr result;
-    for (int attempt = 0;; ++attempt) {
-        auto t0 = std::chrono::steady_clock::now();
-        if (policy.submitWaitMs >= 0) {
-            CompileService::Ticket ticket =
-                service.trySubmit(request, policy.submitWaitMs);
-            result = awaitTicket(ticket, policy.deadlineMs, t0);
-        } else {
-            result = service.compile(request);
-        }
-        if (attempt + 1 >= std::max(policy.maxAttempts, 1) ||
-            !policy.shouldRetry(result->status))
-            return result;
-        if (retries != nullptr)
-            ++*retries;
-        std::this_thread::sleep_for(std::chrono::milliseconds(
-            policy.delayMs(attempt, rng)));
-    }
+    retryUnderPolicy(
+        policy, rng,
+        [&] {
+            auto t0 = std::chrono::steady_clock::now();
+            if (policy.submitWaitMs >= 0) {
+                CompileService::Ticket ticket =
+                    service.trySubmit(request, policy.submitWaitMs);
+                result = awaitTicket(ticket, policy.deadlineMs, t0);
+            } else {
+                result = service.compile(request);
+            }
+            return !policy.shouldRetry(result->status);
+        },
+        retries);
+    return result;
 }
 
 HammerResult
@@ -219,29 +217,22 @@ hammerNetwork(
             req.deadlineMs = policy.deadlineMs;
             auto r0 = std::chrono::steady_clock::now();
             CompileResult result;
-            for (int attempt = 0;; ++attempt) {
-                if (!net.connected())
-                    net.connect(host, port, connectTimeoutMs,
-                                err);
-                if (!net.compile(req, result, err)) {
-                    // Transport failure (refused, EOF from an
-                    // injected serve.net.* fault, garbled
-                    // response): a retryable Failed, with a
-                    // reconnect on the next attempt.
-                    result = CompileResult();
-                    result.status = CompileStatus::Failed;
-                    result.parsed = true;
-                    result.error = "transport: " + err;
-                }
-                if (attempt + 1 >=
-                        std::max(policy.maxAttempts, 1) ||
-                    !policy.shouldRetry(result.status))
-                    break;
-                ++local_retries;
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(
-                        policy.delayMs(attempt, rng)));
-            }
+            retryWithReconnect(
+                net, host, port, connectTimeoutMs, policy, rng,
+                [&](std::string &error) {
+                    if (!net.compile(req, result, error)) {
+                        // Transport failure (refused, EOF from an
+                        // injected serve.net.* fault, garbled
+                        // response): a retryable Failed, with a
+                        // reconnect before the next attempt.
+                        result = CompileResult();
+                        result.status = CompileStatus::Failed;
+                        result.parsed = true;
+                        result.error = "transport: " + error;
+                    }
+                    return !policy.shouldRetry(result.status);
+                },
+                err, &local_retries);
             local.add(std::chrono::duration<double, std::milli>(
                           std::chrono::steady_clock::now() - r0)
                           .count());

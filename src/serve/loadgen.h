@@ -10,11 +10,15 @@
  * loop, so they live here once.
  */
 
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "serve/net.h"
 #include "serve/service.h"
 #include "support/rng.h"
 
@@ -84,6 +88,60 @@ struct RetryPolicy
      */
     int delayMs(int attempt, Rng &rng) const;
 };
+
+/**
+ * The policy's attempt loop: call @p attempt() up to
+ * policy.maxAttempts times, sleeping policy.delayMs between calls,
+ * until it returns true (an outcome not worth retrying). Returns
+ * the last call's verdict; @p retries, when non-null, accumulates
+ * the number of extra attempts made.
+ */
+template <typename Attempt>
+bool
+retryUnderPolicy(const RetryPolicy &policy, Rng &rng,
+                 Attempt &&attempt, int *retries = nullptr)
+{
+    const int tries = std::max(policy.maxAttempts, 1);
+    for (int i = 0;; ++i) {
+        if (attempt())
+            return true;
+        if (i + 1 >= tries)
+            return false;
+        if (retries != nullptr)
+            ++*retries;
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(policy.delayMs(i, rng)));
+    }
+}
+
+/**
+ * retryUnderPolicy over a connection that may drop: before each
+ * call of @p attempt(error), reconnect @p net to @p host:@p port if
+ * it is down. A failed reconnect still runs the attempt, which then
+ * fails on the closed socket; @p error ends up with the reconnect's
+ * reason in that case.
+ */
+template <typename Attempt>
+bool
+retryWithReconnect(NetClient &net, const std::string &host, int port,
+                   int connectTimeoutMs, const RetryPolicy &policy,
+                   Rng &rng, Attempt &&attempt, std::string &error,
+                   int *retries = nullptr)
+{
+    return retryUnderPolicy(
+        policy, rng,
+        [&] {
+            std::string refused;
+            const bool up =
+                net.connected() ||
+                net.connect(host, port, connectTimeoutMs, refused);
+            const bool done = attempt(error);
+            if (!up)
+                error = refused;
+            return done;
+        },
+        retries);
+}
 
 /**
  * One request through the policy loop: submit (blocking or

@@ -64,7 +64,7 @@ applyUnrollPolicy(const Ddg &ddg, const MachineModel &machine,
     if (u == 1)
         out.resetTo(ddg);
     else
-        out = unrollDdg(ddg, u);
+        unrollDdg(ddg, u, out);
 }
 
 } // namespace dms

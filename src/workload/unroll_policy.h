@@ -35,9 +35,10 @@ Ddg applyUnrollPolicy(const Ddg &ddg, const MachineModel &machine,
                       int max_factor = 8, int max_ops = 512);
 
 /**
- * Arena-reusing variant: writes the body into @p out. The common
- * factor-1 case recycles @p out's buffers via Ddg::resetTo, so a
- * sweep that compiles loop after loop stops churning the allocator.
+ * Arena-reusing variant: writes the body into @p out, recycling its
+ * buffers (Ddg::resetTo for factor 1, the in-place unrollDdg
+ * otherwise), so a sweep that compiles loop after loop stops
+ * churning the allocator.
  */
 void applyUnrollPolicy(const Ddg &ddg, const MachineModel &machine,
                        Ddg &out, int max_factor = 8,

@@ -1,7 +1,8 @@
 /**
  * @file
- * Heap-allocation budgets of the analysis passes every compile runs
- * (SCC walk, RecMII, verification, single-use pre-pass). The binary
+ * Heap-allocation budgets of the passes every compile runs (graph
+ * copy and reset, unrolling, SCC walk, RecMII, verification,
+ * single-use pre-pass, the DMS schedule stage). The binary
  * replaces the global operator new with a counting one; each pass is
  * run once to warm its per-thread scratch and then measured on the
  * second call, the steady state a serving worker sees. The budgets
@@ -13,6 +14,7 @@
 
 #include <cstdlib>
 #include <new>
+#include <utility>
 
 #include "core/pipeline.h"
 #include "ir/prepass.h"
@@ -138,6 +140,76 @@ TEST(AllocBudget, PrepassAllocatesOnlyForWhatItInserts)
     EXPECT_LE(allocations, stats.copiesInserted + edges_inserted)
         << stats.copiesInserted << " copies, " << edges_inserted
         << " edges inserted";
+}
+
+TEST(AllocBudget, GraphCopyAndResetAllocateOnlyTheArrays)
+{
+    // Adjacency lists are inline, so a copy allocates the op and
+    // edge arrays and nothing per operation, and a reset into a
+    // graph that already held the body allocates nothing.
+    const Ddg body = fixedBody();
+    ASSERT_GT(body.numOps(), 20);
+    EXPECT_LE(allocationsDuring([&] { Ddg copy = body; }), 2);
+
+    Ddg target;
+    target.resetTo(body);
+    EXPECT_EQ(allocationsDuring([&] { target.resetTo(body); }), 0);
+}
+
+TEST(AllocBudget, UnrollAllocatesOnlyTheArrays)
+{
+    const Loop loop = fixedLoop();
+    Ddg fresh;
+    EXPECT_LE(allocationsDuring(
+                  [&] { fresh = unrollDdg(loop.ddg, kUnroll); }),
+              2);
+
+    // Rebuilt in place (the pipeline's path), nothing at all.
+    Ddg body;
+    unrollDdg(loop.ddg, kUnroll, body);
+    EXPECT_EQ(
+        allocationsDuring([&] { unrollDdg(loop.ddg, kUnroll, body); }),
+        0);
+    EXPECT_EQ(body.numOps(), fresh.numOps());
+    EXPECT_EQ(body.numEdges(), fresh.numEdges());
+}
+
+TEST(AllocBudget, ReusedDmsScheduleStageAllocatesAHandful)
+{
+    // The schedule stage through one reused context: the DMS arena
+    // takes the previous result's graph and schedule back and its
+    // chain records keep their lists, so a repeat compile of the
+    // same body finds every buffer already sized (0 measured; the
+    // slack is for an incidental block, not per-op or per-chain
+    // churn).
+    const MachineModel machine = MachineModel::clusteredRing(8);
+    const Loop loop = fixedLoop();
+    PipelineOptions opts;
+    opts.forceUnroll = kUnroll;
+    Pipeline pipe(opts);
+    CompilationContext ctx;
+    ASSERT_TRUE(pipe.run(loop, machine, ctx));
+    ASSERT_GT(ctx.result.sched.movesInserted, 0);
+
+    Scheduler &dms = ctx.scheduler("dms");
+    SchedulerConfig config = opts.config;
+    config.dms.knownResMii = ctx.resMii;
+    config.dms.knownRecMii = ctx.recMii;
+    const SchedOutcome &first = ctx.result.sched;
+    const int ii = first.ii;
+    const long used = first.budgetUsed;
+    // What the pipeline's schedule stage does: hand the previous
+    // result back, then schedule into an empty one.
+    auto rerun = [&] {
+        dms.recycle(std::exchange(ctx.result, SchedulerResult{}));
+        dms.schedule(ctx.body, machine, config, ctx.result);
+    };
+    rerun();
+    const long allocations = allocationsDuring(rerun);
+    ASSERT_TRUE(ctx.result.sched.ok);
+    EXPECT_EQ(ctx.result.sched.ii, ii);
+    EXPECT_EQ(ctx.result.sched.budgetUsed, used);
+    EXPECT_LE(allocations, 2);
 }
 
 } // namespace

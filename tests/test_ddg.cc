@@ -1,15 +1,19 @@
 /**
  * @file
  * Unit tests for the DDG: construction, mutation (the chain-splice
- * machinery DMS depends on), structural verification, and DOT
- * export.
+ * machinery DMS depends on), the inline adjacency lists, structural
+ * verification, and DOT export.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "ir/ddg.h"
 #include "ir/dot.h"
 #include "ir/verify.h"
+#include "support/rng.h"
 
 namespace dms {
 namespace {
@@ -154,6 +158,178 @@ TEST(Ddg, CopySemantics)
     EXPECT_EQ(copy.numOps(), 4);
     EXPECT_EQ(g.numOps(), 3);
     EXPECT_EQ(copy.op(mv).origin, OpOrigin::MoveOp);
+}
+
+/** ---- EdgeList against a std::vector reference ----------------- */
+
+std::vector<EdgeId>
+contents(const EdgeList &list)
+{
+    return std::vector<EdgeId>(list.begin(), list.end());
+}
+
+/** Every observable of @p list agrees with @p ref. */
+void
+expectSame(const EdgeList &list, const std::vector<EdgeId> &ref)
+{
+    ASSERT_EQ(list.size(), ref.size());
+    EXPECT_EQ(list.empty(), ref.empty());
+    EXPECT_EQ(contents(list), ref);
+    for (size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(list[i], ref[i]) << "index " << i;
+}
+
+/** A list and its reference holding ids base, base+1, ... */
+EdgeList
+filled(int n, int base, std::vector<EdgeId> *ref = nullptr)
+{
+    EdgeList list;
+    for (int i = 0; i < n; ++i) {
+        list.push_back(base + i);
+        if (ref != nullptr)
+            ref->push_back(base + i);
+    }
+    return list;
+}
+
+TEST(EdgeList, RandomEditsMatchVector)
+{
+    Rng rng(20260419);
+    for (int round = 0; round < 300; ++round) {
+        EdgeList list;
+        std::vector<EdgeId> ref;
+        EdgeId next = 0;
+        for (int step = 0; step < 80; ++step) {
+            const int what = rng.range(0, 9);
+            if (what <= 4) {
+                list.push_back(next);
+                ref.push_back(next++);
+            } else if (what <= 6) {
+                if (ref.empty())
+                    continue;
+                const int at =
+                    rng.range(0, static_cast<int>(ref.size()) - 1);
+                list.erase(list.begin() + at);
+                ref.erase(ref.begin() + at);
+            } else if (what == 7) {
+                const size_t n = static_cast<size_t>(rng.range(0, 12));
+                list.reserve(n);
+                ref.reserve(n);
+            } else if (what == 8) {
+                if (rng.range(0, 3) == 0) {
+                    list.clear();
+                    ref.clear();
+                }
+            } else {
+                // Round-trip through a copy and a move.
+                EdgeList copy = list;
+                EdgeList moved = std::move(copy);
+                list = moved;
+            }
+            expectSame(list, ref);
+        }
+    }
+}
+
+TEST(EdgeList, CopyAndMoveInlineAndSpilled)
+{
+    // Sizes on both sides of the inline capacity, into targets that
+    // are themselves inline or spilled.
+    for (int n : {0, 1, 4, 5, 11}) {
+        for (int target : {0, 3, 9}) {
+            SCOPED_TRACE(testing::Message()
+                         << "source " << n << ", target " << target);
+            std::vector<EdgeId> ref;
+            const EdgeList src = filled(n, 100, &ref);
+
+            const EdgeList constructed(src);
+            expectSame(constructed, ref);
+
+            EdgeList assigned = filled(target, 500);
+            assigned = src;
+            expectSame(assigned, ref);
+            expectSame(src, ref);
+
+            EdgeList from = src;
+            const EdgeList move_constructed(std::move(from));
+            expectSame(move_constructed, ref);
+            EXPECT_TRUE(from.empty());
+            from.push_back(7); // a moved-from list stays usable
+            expectSame(from, {7});
+
+            EdgeList donor = src;
+            EdgeList move_assigned = filled(target, 500);
+            move_assigned = std::move(donor);
+            expectSame(move_assigned, ref);
+            EXPECT_TRUE(donor.empty());
+
+            // Self-assignment, through an alias.
+            EdgeList self = src;
+            EdgeList &alias = self;
+            self = alias;
+            expectSame(self, ref);
+            self = std::move(alias);
+            expectSame(self, ref);
+        }
+    }
+}
+
+TEST(EdgeList, SpillsPastInlineCapacityAndShrinksBack)
+{
+    std::vector<EdgeId> ref;
+    EdgeList list = filled(static_cast<int>(EdgeList::kInline), 0, &ref);
+    expectSame(list, ref);
+    for (EdgeId e = 10; e < 30; ++e) {
+        list.push_back(e);
+        ref.push_back(e);
+        expectSame(list, ref);
+    }
+    // Shrink from the front, middle and back down to one id, then
+    // grow again past the inline capacity.
+    while (ref.size() > 1) {
+        const size_t at = ref.size() % 3 == 0 ? 0
+                          : ref.size() % 3 == 1 ? ref.size() / 2
+                                                : ref.size() - 1;
+        list.erase(list.begin() + at);
+        ref.erase(ref.begin() + static_cast<long>(at));
+        expectSame(list, ref);
+    }
+    const EdgeList small = list; // a copy of a shrunk list
+    expectSame(small, ref);
+    for (EdgeId e = 40; e < 50; ++e) {
+        list.push_back(e);
+        ref.push_back(e);
+    }
+    expectSame(list, ref);
+    list.clear();
+    ref.clear();
+    expectSame(list, ref);
+    list.push_back(3);
+    expectSame(list, {3});
+}
+
+TEST(Ddg, RemoveEdgeKeepsOrderOnSpilledList)
+{
+    // One producer with nine uses: its out-list spills, and removing
+    // edges from the front, middle and end keeps the others in
+    // insertion order (chain splicing relies on this).
+    Ddg g;
+    OpId src = g.addOp(Opcode::Load);
+    std::vector<EdgeId> want;
+    for (int i = 0; i < 9; ++i) {
+        OpId use = g.addOp(Opcode::Store);
+        want.push_back(g.addEdge(src, use, DepKind::Flow, 0, 2, 0));
+    }
+    EXPECT_EQ(contents(g.op(src).outs), want);
+    for (EdgeId e : {want[0], want[4], want[8]}) {
+        g.removeEdge(e);
+        want.erase(std::find(want.begin(), want.end(), e));
+        EXPECT_EQ(contents(g.op(src).outs), want);
+    }
+    Ddg copy;
+    copy.resetTo(g);
+    EXPECT_EQ(contents(copy.op(src).outs), want);
+    EXPECT_TRUE(verifyDdg(copy).empty());
 }
 
 TEST(Ddg, UsefulCountExcludesCopyAndMove)

@@ -6,13 +6,15 @@
  * perf arithmetic) is reimplemented here verbatim and the
  * pipeline-based runMatrix must reproduce it LoopRun-for-LoopRun —
  * the figures 4-6 data cannot move. Also covered: stage lists,
- * optional regalloc/codegen stages, and scheduler selection by
- * configuration (twophase through the runner).
+ * optional regalloc/codegen stages, scheduler selection by
+ * configuration (twophase through the runner), and the reuse of one
+ * context's arenas across an interleaved stream of compiles.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 
 #include "baseline/twophase.h"
 #include "core/pipeline.h"
@@ -20,7 +22,10 @@
 #include "ir/prepass.h"
 #include "machine/desc.h"
 #include "sched/verifier.h"
+#include "serve/loadgen.h"
+#include "support/faultinject.h"
 #include "workload/suite.h"
+#include "workload/text.h"
 #include "workload/unroll_policy.h"
 
 namespace {
@@ -362,6 +367,238 @@ TEST(Pipeline, RegallocRunsOnEveryQueueFileTopology)
         pipeline.run(loop, MachineModel::unclustered(6), plain));
     EXPECT_FALSE(plain.queuesValid);
     EXPECT_EQ(plain.perf.queues, 0);
+}
+
+/** ---- Context reuse ------------------------------------------ */
+
+/**
+ * Every field of a graph, adjacency lists in order, dead ops and
+ * edges included: two graphs print the same iff every later pass
+ * (regalloc, codegen, simulation) sees the same input.
+ */
+std::string
+graphText(const Ddg &g)
+{
+    std::string out = strfmt("ops %d edges %d live %d unroll %d\n",
+                             g.numOps(), g.numEdges(),
+                             g.liveOpCount(), g.unrollFactor());
+    for (OpId id = 0; id < g.numOps(); ++id) {
+        const Operation &o = g.op(id);
+        out += strfmt("op %d %d %d %d %d %d %d %d %lld in", id,
+                      static_cast<int>(o.opc),
+                      static_cast<int>(o.origin), o.dead ? 1 : 0,
+                      o.origId, o.iterOffset, o.memStream,
+                      o.memOffset, static_cast<long long>(o.literal));
+        for (EdgeId e : o.ins)
+            out += strfmt(" %d", e);
+        out += " out";
+        for (EdgeId e : o.outs)
+            out += strfmt(" %d", e);
+        out += "\n";
+    }
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        const Edge &ed = g.edge(e);
+        out += strfmt("edge %d %d %d %d %d %d %d %d %d\n", e, ed.src,
+                      ed.dst, static_cast<int>(ed.kind), ed.distance,
+                      ed.latency, ed.operandIndex, ed.dead ? 1 : 0,
+                      ed.replaced ? 1 : 0);
+    }
+    return out;
+}
+
+/** FNV-1a over the outcome and every placement of the schedule. */
+std::uint64_t
+scheduleHash(const CompilationContext &ctx)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    const auto mix = [&h](long v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (static_cast<std::uint64_t>(v) >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    const SchedOutcome &s = ctx.result.sched;
+    for (long v : {static_cast<long>(s.ok), static_cast<long>(s.ii),
+                   static_cast<long>(s.mii),
+                   static_cast<long>(s.attempts), s.budgetUsed,
+                   static_cast<long>(s.movesInserted)})
+        mix(v);
+    if (!s.ok)
+        return h;
+    const Ddg &g = ctx.scheduledDdg();
+    for (OpId id = 0; id < g.numOps(); ++id) {
+        if (!g.opLive(id))
+            continue;
+        const Placement &p = s.schedule->placement(id);
+        mix(id);
+        mix(p.time);
+        mix(p.cluster);
+        mix(p.fuInstance);
+    }
+    return h;
+}
+
+/** One compile of the interleaved stream. */
+struct ReuseStep
+{
+    std::string label;
+    Loop loop;
+    const MachineModel *machine;
+    PipelineOptions options;
+    bool injectScheduleFault = false;
+};
+
+/** What a compile leaves behind, for reused-vs-fresh comparison. */
+struct ReuseOutcome
+{
+    LoopRun run;
+    std::uint64_t hash = 0;
+    std::string graph;
+};
+
+ReuseOutcome
+compileInto(const ReuseStep &step, CompilationContext &ctx)
+{
+    Pipeline pipeline(step.options);
+    ReuseOutcome out;
+    out.run = runLoop(pipeline, step.loop, *step.machine, ctx);
+    out.hash = scheduleHash(ctx);
+    out.graph = graphText(ctx.scheduledDdg());
+    return out;
+}
+
+/**
+ * Two distinct generated loops whose pre-passed bodies have the same
+ * op count and the same MII on @p machine: back to back through one
+ * context, the second reaches the scheduler in a graph of the same
+ * size at the same II as the first, the case where cached per-graph
+ * state (heights) could be mistaken for the new body's.
+ */
+std::pair<Loop, Loop>
+sameSizeBodies(const MachineModel &machine)
+{
+    PipelineOptions opts;
+    opts.verify = false;
+    opts.perf = false;
+    Pipeline probe(opts);
+    std::map<std::pair<int, int>, Loop> seen;
+    for (int i = 0; i < 400; ++i) {
+        Loop loop = loopFromText(coldLoopText(11, i));
+        CompilationContext ctx;
+        probe.run(loop, machine, ctx);
+        const std::pair<int, int> key{ctx.body.numOps(), ctx.mii};
+        auto it = seen.find(key);
+        if (it != seen.end() &&
+            loopToText(it->second) != loopToText(loop))
+            return {it->second, loop};
+        seen.emplace(key, loop);
+    }
+    ADD_FAILURE() << "no two generated bodies share a size and MII";
+    return {kernelFir8(), kernelIir2()};
+}
+
+TEST(Pipeline, ReusedContextMatchesFreshContexts)
+{
+    const MachineModel ring2 = MachineModel::clusteredRing(2);
+    const MachineModel ring4 = MachineModel::clusteredRing(4);
+    const MachineModel ring8 = MachineModel::clusteredRing(8);
+    const MachineModel mesh = machineFromTextOrDie(
+        "clusters 4\ntopology mesh 2x2\nregfile queues\n"
+        "fus ldst=1 add=1 mul=1 copy=1\n");
+    const MachineModel xbar = machineFromTextOrDie(
+        "clusters 6\ntopology crossbar\nregfile queues\n"
+        "fus ldst=1 add=1 mul=1 copy=1\n");
+    const MachineModel flat = MachineModel::unclustered(4);
+
+    PipelineOptions full;
+    full.regalloc = true;
+    full.codegen = true;
+    PipelineOptions unroll4 = full;
+    unroll4.forceUnroll = 4;
+    // Unschedulable two ways: every attempt of a long ladder runs
+    // out of budget, or the II cap sits below the MII.
+    PipelineOptions starved = full;
+    starved.config.dms.budgetRatio = 0;
+    PipelineOptions capped = full;
+    capped.config.dms.maxII = 1;
+    PipelineOptions speculative = full;
+    speculative.config.dms.speculateII = 1;
+    speculative.config.dms.budgetRatio = 1;
+    PipelineOptions twophase = full;
+    twophase.scheduler = "twophase";
+    PipelineOptions ims;
+    ims.scheduler = "ims";
+
+    const std::pair<Loop, Loop> twins = sameSizeBodies(ring4);
+
+    std::vector<ReuseStep> steps;
+    const auto add = [&](const char *label, Loop loop,
+                         const MachineModel &m,
+                         const PipelineOptions &o) {
+        steps.push_back({label, std::move(loop), &m, o});
+    };
+    add("fir8 ring4", kernelFir8(), ring4, full);
+    add("iir2x4 ring8", kernelIir2(), ring8, unroll4);
+    add("twin a ring4", twins.first, ring4, full);
+    add("twin b ring4", twins.second, ring4, full);
+    add("daxpy ring2", kernelDaxpy(), ring2, full);
+    add("fft mesh", kernelFftButterfly(), mesh, full);
+    add("horner ims", kernelHorner(), flat, ims);
+    add("stencil xbar", kernelStencil3(), xbar, full);
+    // A failed DMS run keeps its graph in the arena; another
+    // scheduler's result then sits in the context when the next DMS
+    // run fails too, which must leave no graph behind.
+    add("hydro starved ring4", kernelLivermoreHydro(), ring4,
+        starved);
+    add("fir8 twophase ring4", kernelFir8(), ring4, twophase);
+    add("iir2 capped ring4", kernelIir2(), ring4, capped);
+    add("tridiag ring8", kernelTridiagSolve(), ring8, full);
+    add("autocorr speculative ring8", kernelAutocorrelation(), ring8,
+        speculative);
+    add("colour ring2", kernelColorConvert(), ring2, full);
+    steps.push_back({"fault ring8", kernelFir8(), &ring8, full,
+                     /*injectScheduleFault=*/true});
+    add("twin b ring4 again", twins.second, ring4, full);
+    add("iir2x4 mesh", kernelIir2(), mesh, unroll4);
+    add("twin a ring4 again", twins.first, ring4, full);
+    add("mixed ring4", kernelMixedLongLatency(), ring4, full);
+    for (int i = 0; i < 6; ++i) {
+        const MachineModel &m =
+            i % 3 == 0 ? ring8 : i % 3 == 1 ? mesh : ring2;
+        add("generated", loopFromText(coldLoopText(5, i)), m, full);
+    }
+
+    // The stream must cover a failed II ladder and a move chain.
+    bool saw_unschedulable = false;
+    bool saw_moves = false;
+    CompilationContext reused;
+    for (const ReuseStep &step : steps) {
+        SCOPED_TRACE(step.label);
+        if (step.injectScheduleFault) {
+            FaultPlan plan;
+            FaultSpec spec;
+            spec.site = "pipeline.schedule";
+            spec.rate = 1.0;
+            plan.add(spec);
+            armFaults(plan);
+            Pipeline pipeline(step.options);
+            EXPECT_THROW(
+                runLoop(pipeline, step.loop, *step.machine, reused),
+                InjectedFault);
+            disarmFaults();
+            continue;
+        }
+        CompilationContext fresh;
+        const ReuseOutcome want = compileInto(step, fresh);
+        const ReuseOutcome got = compileInto(step, reused);
+        EXPECT_TRUE(got.run == want.run);
+        EXPECT_EQ(got.hash, want.hash);
+        EXPECT_EQ(got.graph, want.graph);
+        saw_unschedulable |= !want.run.ok;
+        saw_moves |= want.run.movesInserted > 0;
+    }
+    EXPECT_TRUE(saw_unschedulable);
+    EXPECT_TRUE(saw_moves);
 }
 
 } // namespace

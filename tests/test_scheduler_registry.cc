@@ -98,7 +98,8 @@ TEST(SchedulerRegistry, AdaptersMatchDirectEntryPoints)
     { // ims
         MachineModel m = MachineModel::unclustered(4);
         auto s = SchedulerRegistry::instance().create("ims");
-        SchedulerResult via = s->schedule(loop.ddg, m, config);
+        SchedulerResult via;
+        s->schedule(loop.ddg, m, config, via);
         SchedOutcome direct = scheduleIms(loop.ddg, m);
         EXPECT_EQ(via.ddg, nullptr);
         expectSameSchedule(loop.ddg, via.sched, direct);
@@ -110,13 +111,15 @@ TEST(SchedulerRegistry, AdaptersMatchDirectEntryPoints)
         singleUsePrepass(body, m.latencyOf(Opcode::Copy));
 
         auto s = SchedulerRegistry::instance().create("dms");
-        SchedulerResult via = s->schedule(body, m, config);
+        SchedulerResult via;
+        s->schedule(body, m, config, via);
         DmsOutcome direct = scheduleDms(body, m);
         ASSERT_NE(via.ddg, nullptr);
         expectSameSchedule(*via.ddg, via.sched, direct.sched);
 
         auto t = SchedulerRegistry::instance().create("twophase");
-        SchedulerResult tvia = t->schedule(body, m, config);
+        SchedulerResult tvia;
+        t->schedule(body, m, config, tvia);
         TwoPhaseOutcome tdirect = scheduleTwoPhase(body, m);
         ASSERT_NE(tvia.ddg, nullptr);
         expectSameSchedule(*tvia.ddg, tvia.sched, tdirect.sched);

@@ -489,17 +489,16 @@ class HostileHintScheduler : public Scheduler
         return machine.clustered();
     }
 
-    SchedulerResult
+    void
     schedule(const Ddg &body, const MachineModel &machine,
-             const SchedulerConfig &config) override
+             const SchedulerConfig &config,
+             SchedulerResult &result) override
     {
         DmsParams params = config.dms;
         params.knownRecMii = 1; // the lie: true RecMII is larger
         DmsOutcome out = scheduleDms(body, machine, params);
-        SchedulerResult result;
         result.sched = std::move(out.sched);
         result.ddg = std::move(out.ddg);
-        return result;
     }
 };
 
