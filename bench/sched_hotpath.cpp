@@ -9,7 +9,9 @@
  * scheduler core is machine-readable across PRs.
  *
  * Knobs: DMS_SUITE_COUNT (default 200 loops), DMS_HOTPATH_REPS
- * (default 3 timed repetitions; the fastest rep is reported).
+ * (default 3 timed repetitions; the fastest rep is reported). The
+ * JSON records the suite size, reps, host CPU count and build type
+ * next to the rates, so a record says what it was measured on.
  *
  * Regression gate: when DMS_HOTPATH_BASELINE names a previous
  * BENCH_sched_hotpath.json, the run fails (exit 1) if either
@@ -25,6 +27,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/dms.h"
@@ -359,6 +362,9 @@ main()
     json += "\"bench\":\"sched_hotpath\",";
     json += strfmt("\"suite_size\":%zu,", suite.size());
     json += strfmt("\"reps\":%d,", reps);
+    json += strfmt("\"host_cpus\":%u,",
+                   std::thread::hardware_concurrency());
+    json += "\"build_type\":\"" DMS_BUILD_TYPE "\",";
     json += strfmt("\"dms_problems\":%zu,", dms_work.size());
     json += strfmt("\"ims_problems\":%zu,", ims_work.size());
     appendThroughput(json, "dms", dms_t);

@@ -1,5 +1,7 @@
 #include "codegen/emit.h"
 
+#include <string_view>
+
 #include "regalloc/queue_alloc.h"
 #include "support/strings.h"
 
@@ -10,26 +12,65 @@ namespace {
 /**
  * Per-op queue annotations: for every lifetime the op produces,
  * the file (LRF cluster or CQRF link endpoints) and queue index
- * assigned by the allocator.
+ * assigned by the allocator. All notes live in one per-thread
+ * buffer; op i's are text[at[i], at[i + 1]), its lifetimes in
+ * allocation order.
  */
-std::vector<std::string>
+struct QueueNotes
+{
+    std::string text;
+    std::vector<std::uint32_t> at;
+
+    std::string_view
+    of(OpId op) const
+    {
+        const size_t i = static_cast<size_t>(op);
+        return std::string_view(text).substr(at[i], at[i + 1] - at[i]);
+    }
+};
+
+const QueueNotes &
 queueNotes(const Ddg &ddg, const QueueAllocation *queues)
 {
-    std::vector<std::string> notes(
-        static_cast<size_t>(ddg.numOps()));
+    thread_local QueueNotes notes;
+    thread_local std::vector<std::uint32_t> order;
+    const size_t n = static_cast<size_t>(ddg.numOps());
+    notes.text.clear();
+    notes.at.assign(n + 1, 0);
     if (queues == nullptr)
         return notes;
-    for (const Lifetime &lt : queues->lifetimes) {
-        std::string &n = notes[static_cast<size_t>(lt.def)];
-        if (lt.location == QueueLocation::Lrf) {
-            append(n, ">c", lt.cluster, ".q", lt.queueIndex);
-        } else {
-            const InterClusterLink &link =
-                queues->links[static_cast<size_t>(lt.link)];
-            append(n, ">c", link.src, "-c", link.dst, ".q",
-                   lt.queueIndex);
+    // Counting sort of the lifetimes by defining op, stable, so
+    // each op's notes keep the allocator's order.
+    const std::vector<Lifetime> &lts = queues->lifetimes;
+    std::vector<std::uint32_t> &next = notes.at;
+    for (const Lifetime &lt : lts)
+        ++next[static_cast<size_t>(lt.def) + 1];
+    for (size_t i = 0; i < n; ++i)
+        next[i + 1] += next[i];
+    order.resize(lts.size());
+    for (size_t k = 0; k < lts.size(); ++k)
+        order[next[static_cast<size_t>(lts[k].def)]++] =
+            static_cast<std::uint32_t>(k);
+    // next[i] now ends op i's run; render the runs in op order and
+    // turn the ends into starts.
+    size_t k = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const std::uint32_t end = next[i];
+        next[i] = static_cast<std::uint32_t>(notes.text.size());
+        for (; k < end; ++k) {
+            const Lifetime &lt = lts[order[k]];
+            if (lt.location == QueueLocation::Lrf) {
+                append(notes.text, ">c", lt.cluster, ".q",
+                       lt.queueIndex);
+            } else {
+                const InterClusterLink &link =
+                    queues->links[static_cast<size_t>(lt.link)];
+                append(notes.text, ">c", link.src, "-c", link.dst,
+                       ".q", lt.queueIndex);
+            }
         }
     }
+    next[n] = static_cast<std::uint32_t>(notes.text.size());
     return notes;
 }
 
@@ -37,14 +78,14 @@ queueNotes(const Ddg &ddg, const QueueAllocation *queues)
  *  is negative, then the op's queue notes. */
 void
 appendSlot(std::string &out, const Ddg &ddg, const KernelSlot &s,
-           int iteration, const std::vector<std::string> &notes)
+           int iteration, const QueueNotes &notes)
 {
     append(out, ' ', opcodeName(ddg.op(s.op).opc), s.op);
     if (iteration >= 0)
         append(out, "[i", iteration, ']');
     else
         append(out, "(s", s.stage, ')');
-    out += notes[static_cast<size_t>(s.op)];
+    out += notes.of(s.op);
 }
 
 /** Line @p t: "  [t]" (right-aligned in @p width), its slots or
@@ -65,7 +106,7 @@ appendLine(std::string &out, int t, int width, const Slots &slots)
 void
 appendRow(std::string &out, const Ddg &ddg, const MachineModel &machine,
           const std::vector<KernelSlot> &row,
-          const std::vector<std::string> &notes)
+          const QueueNotes &notes)
 {
     for (ClusterId c = 0; c < machine.numClusters(); ++c) {
         if (machine.clustered())
@@ -86,7 +127,7 @@ std::string
 emitKernel(const Ddg &ddg, const MachineModel &machine,
            const PipelinedLoop &loop, const QueueAllocation *queues)
 {
-    const std::vector<std::string> notes = queueNotes(ddg, queues);
+    const QueueNotes &notes = queueNotes(ddg, queues);
     std::string out;
     out.reserve(64 + 12 * static_cast<size_t>(loop.ii) +
                 24 * static_cast<size_t>(ddg.liveOpCount()));
@@ -105,7 +146,7 @@ emitPipelinedCode(const Ddg &ddg, const MachineModel &machine,
                   const PipelinedLoop &loop,
                   const QueueAllocation *queues)
 {
-    const std::vector<std::string> notes = queueNotes(ddg, queues);
+    const QueueNotes &notes = queueNotes(ddg, queues);
     const int sc = loop.stageCount;
     const int ii = loop.ii;
     std::string out;

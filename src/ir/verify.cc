@@ -37,7 +37,12 @@ verifyDdg(const Ddg &ddg, const DdgVerifyOptions &opts)
         // Operand slots: each slot fed at most once, slots < arity.
         int arity = opcodeArity(o.opc);
         bool slot_used[2] = {false, false};
-        for (EdgeId e : ddg.flowInputs(id)) {
+        for (EdgeId e : o.ins) {
+            // Ddg::flowInputs without its vector: active flow edges
+            // that feed an operand slot.
+            if (!ddg.edgeActive(e) || ddg.edge(e).kind != DepKind::Flow ||
+                ddg.edge(e).operandIndex < 0)
+                continue;
             int slot = ddg.edge(e).operandIndex;
             if (slot < 0 || slot >= 2) {
                 complain(strfmt("edge %d has bad operand slot %d",
@@ -76,33 +81,38 @@ verifyDdg(const Ddg &ddg, const DdgVerifyOptions &opts)
     }
 
     // Zero-distance cycle detection via Kahn's algorithm on the
-    // subgraph of active zero-distance edges.
+    // subgraph of active zero-distance edges. One per-thread block
+    // holds the in-degrees and, behind them, the work stack (each
+    // op is pushed at most once).
     {
-        std::vector<int> indeg(static_cast<size_t>(ddg.numOps()), 0);
+        const size_t n = static_cast<size_t>(ddg.numOps());
+        thread_local std::vector<int> buf;
+        buf.assign(2 * n, 0);
+        int *indeg = buf.data();
+        OpId *stack = buf.data() + n;
+        size_t top = 0;
         for (EdgeId e = 0; e < ddg.numEdges(); ++e) {
             if (ddg.edgeActive(e) && ddg.edge(e).distance == 0)
                 ++indeg[static_cast<size_t>(ddg.edge(e).dst)];
         }
-        std::vector<OpId> queue;
         int live = 0;
         for (OpId id = 0; id < ddg.numOps(); ++id) {
             if (!ddg.opLive(id))
                 continue;
             ++live;
             if (indeg[static_cast<size_t>(id)] == 0)
-                queue.push_back(id);
+                stack[top++] = id;
         }
         int visited = 0;
-        while (!queue.empty()) {
-            OpId id = queue.back();
-            queue.pop_back();
+        while (top > 0) {
+            OpId id = stack[--top];
             ++visited;
             for (EdgeId e : ddg.op(id).outs) {
                 if (!ddg.edgeActive(e) || ddg.edge(e).distance != 0)
                     continue;
                 OpId dst = ddg.edge(e).dst;
                 if (--indeg[static_cast<size_t>(dst)] == 0)
-                    queue.push_back(dst);
+                    stack[top++] = dst;
             }
         }
         if (visited != live)

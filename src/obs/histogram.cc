@@ -45,13 +45,18 @@ HistogramSnapshot::percentile(double p) const
     std::uint64_t rank = static_cast<std::uint64_t>(
         std::ceil(p / 100.0 * static_cast<double>(count)));
     rank = std::max<std::uint64_t>(rank, 1);
+    // A midpoint can lie above every sample of its bucket; the
+    // exact max is a tighter bound there, so p99 <= max holds.
     std::uint64_t seen = 0;
+    int bucket = buckets.back().first;
     for (const auto &bc : buckets) {
         seen += bc.second;
-        if (seen >= rank)
-            return LatencyHistogram::bucketMidMs(bc.first);
+        if (seen >= rank) {
+            bucket = bc.first;
+            break;
+        }
     }
-    return LatencyHistogram::bucketMidMs(buckets.back().first);
+    return std::min(LatencyHistogram::bucketMidMs(bucket), maxMs);
 }
 
 void

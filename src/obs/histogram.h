@@ -74,7 +74,8 @@ struct HistogramSnapshot
     /**
      * Nearest-rank percentile for @p p in [0, 100]; 0 when empty.
      * Returns the midpoint of the bucket holding the nearest-rank
-     * sample (the <= 3.125% bound above).
+     * sample (the <= 3.125% bound above), clamped to maxMs so no
+     * percentile exceeds the exact max.
      */
     double percentile(double p) const;
 

@@ -1,6 +1,7 @@
 #include "serve/cache.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/diag.h"
 
@@ -14,6 +15,34 @@ fnv1a64(std::string_view s)
         h ^= static_cast<unsigned char>(c);
         h *= 0x100000001b3ULL;
     }
+    return h;
+}
+
+std::uint64_t
+keyHash64(std::string_view s)
+{
+    constexpr std::uint64_t kMul = 0x9e3779b97f4a7c15ULL;
+    std::uint64_t h = s.size() * kMul;
+    const char *p = s.data();
+    size_t n = s.size();
+    for (; n >= 8; p += 8, n -= 8) {
+        std::uint64_t w;
+        std::memcpy(&w, p, 8);
+        h = (h ^ w) * kMul;
+        h ^= h >> 29;
+    }
+    if (n > 0) {
+        std::uint64_t w = 0;
+        std::memcpy(&w, p, n);
+        h = (h ^ w) * kMul;
+    }
+    // MurmurHash3's fmix64: every input bit reaches every output
+    // bit, so the shard (hash % shards) and bucket picks are fair.
+    h ^= h >> 33;
+    h *= 0xff51afd7ed558ccdULL;
+    h ^= h >> 33;
+    h *= 0xc4ceb9fe1a85ec53ULL;
+    h ^= h >> 33;
     return h;
 }
 
@@ -58,15 +87,49 @@ ResultCache::ResultCache(int shards, int capacity,
     perShardCap_ = std::max(1, (std::max(capacity, 1) + n - 1) / n);
 }
 
-/** Erase @p key from both the map and the order list. */
-void
-ResultCache::eraseLocked(Shard &shard, const std::string &key)
+ResultCache::Shard &
+ResultCache::shardOf(std::uint64_t hash)
 {
-    auto eit = shard.entries.find(key);
-    DMS_ASSERT(eit != shard.entries.end(),
-               "cache erase of absent key");
-    shard.order.erase(eit->second.pos);
-    shard.entries.erase(eit);
+    return shards_[hash % shards_.size()];
+}
+
+ResultCache::Slot *
+ResultCache::findLocked(Shard &shard, const std::string &key,
+                        std::uint64_t hash)
+{
+    const auto range = shard.entries.equal_range(hash);
+    for (auto it = range.first; it != range.second; ++it)
+        if (it->second.key == key)
+            return &it->second;
+    return nullptr;
+}
+
+/** Add a slot for @p key at the back of the order list. */
+void
+ResultCache::insertLocked(Shard &shard, const std::string &key,
+                          std::uint64_t hash,
+                          std::shared_ptr<CacheEntry> entry)
+{
+    Slot &slot = shard.entries.emplace(hash, Slot())->second;
+    slot.hash = hash;
+    slot.key = key;
+    slot.entry = std::move(entry);
+    slot.pos = shard.order.insert(shard.order.end(), &slot);
+}
+
+/** Erase @p slot from both the map and the order list. */
+void
+ResultCache::eraseLocked(Shard &shard, Slot *slot)
+{
+    const auto range = shard.entries.equal_range(slot->hash);
+    for (auto it = range.first; it != range.second; ++it) {
+        if (&it->second == slot) {
+            shard.order.erase(slot->pos);
+            shard.entries.erase(it);
+            return;
+        }
+    }
+    DMS_ASSERT(false, "cache erase of absent slot");
 }
 
 /**
@@ -100,17 +163,12 @@ ResultCache::evictIfFull(Shard &shard)
     if (shard.entries.size() < static_cast<size_t>(perShardCap_))
         return;
 
-    auto victim = shard.order.end();
+    Slot *victim = nullptr;
     double victimCost = 0.0;
-    for (auto oit = shard.order.begin(); oit != shard.order.end();
-         ++oit) {
-        auto eit = shard.entries.find(*oit);
-        DMS_ASSERT(eit != shard.entries.end(),
-                   "cache order entry without map entry");
-        const CacheEntry &e = *eit->second.entry;
+    for (Slot *slot : shard.order) {
+        const CacheEntry &e = *slot->entry;
         if (e.failed.load(std::memory_order_acquire)) {
-            shard.entries.erase(eit);
-            shard.order.erase(oit);
+            eraseLocked(shard, slot);
             retired_.fetch_add(1, std::memory_order_relaxed);
             return;
         }
@@ -120,19 +178,18 @@ ResultCache::evictIfFull(Shard &shard)
             // Fifo and Lru both want the frontmost droppable
             // entry; the policies differ only in how accesses
             // reorder the list.
-            victim = oit;
+            victim = slot;
             break;
         }
         double cost = e.costMs.load(std::memory_order_relaxed);
-        if (victim == shard.order.end() || cost < victimCost) {
-            victim = oit;
+        if (victim == nullptr || cost < victimCost) {
+            victim = slot;
             victimCost = cost;
         }
     }
-    if (victim == shard.order.end())
+    if (victim == nullptr)
         return; // everything in-flight; transiently over cap
-    shard.entries.erase(*victim);
-    shard.order.erase(victim);
+    eraseLocked(shard, victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -140,20 +197,18 @@ ResultCache::Lookup
 ResultCache::acquire(const std::string &key, std::uint64_t hash,
                      std::shared_ptr<CacheEntry> &entry)
 {
-    Shard &shard = shards_[hash % shards_.size()];
+    Shard &shard = shardOf(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
 
-    auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) {
-        if (it->second.entry->failed.load(
-                std::memory_order_acquire)) {
+    if (Slot *slot = findLocked(shard, key, hash)) {
+        if (slot->entry->failed.load(std::memory_order_acquire)) {
             // Lazy reclamation: the resident entry's compile
             // failed, so this request retries with a fresh entry.
-            eraseLocked(shard, key);
+            eraseLocked(shard, slot);
             retired_.fetch_add(1, std::memory_order_relaxed);
         } else {
-            entry = it->second.entry;
-            touchLocked(shard, it->second);
+            entry = slot->entry;
+            touchLocked(shard, *slot);
             return entry->ready.load(std::memory_order_acquire)
                        ? Lookup::Hit
                        : Lookup::InFlight;
@@ -162,37 +217,36 @@ ResultCache::acquire(const std::string &key, std::uint64_t hash,
 
     evictIfFull(shard);
     entry = std::make_shared<CacheEntry>();
-    auto pos = shard.order.insert(shard.order.end(), key);
-    shard.entries.emplace(key, Slot{entry, pos});
+    insertLocked(shard, key, hash, entry);
     return Lookup::Inserted;
 }
 
 std::shared_ptr<CacheEntry>
 ResultCache::find(const std::string &key, std::uint64_t hash)
 {
-    Shard &shard = shards_[hash % shards_.size()];
+    Shard &shard = shardOf(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
-    if (it == shard.entries.end() ||
-        it->second.entry->failed.load(std::memory_order_acquire))
+    Slot *slot = findLocked(shard, key, hash);
+    if (slot == nullptr ||
+        slot->entry->failed.load(std::memory_order_acquire))
         return nullptr;
-    touchLocked(shard, it->second);
-    return it->second.entry;
+    touchLocked(shard, *slot);
+    return slot->entry;
 }
 
 void
 ResultCache::retire(const std::string &key, std::uint64_t hash,
                     const std::shared_ptr<CacheEntry> &entry)
 {
-    Shard &shard = shards_[hash % shards_.size()];
+    Shard &shard = shardOf(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.entries.find(key);
+    Slot *slot = findLocked(shard, key, hash);
     // Identity compare: a retrying request may already have
     // replaced the slot with a fresh entry we must not clobber
     // (and acquire may have lazily reclaimed this one already).
-    if (it == shard.entries.end() || it->second.entry != entry)
+    if (slot == nullptr || slot->entry != entry)
         return;
-    eraseLocked(shard, key);
+    eraseLocked(shard, slot);
     retired_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -200,13 +254,12 @@ void
 ResultCache::insertAlias(const std::string &key, std::uint64_t hash,
                          std::shared_ptr<CacheEntry> entry)
 {
-    Shard &shard = shards_[hash % shards_.size()];
+    Shard &shard = shardOf(hash);
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.entries.count(key))
+    if (findLocked(shard, key, hash) != nullptr)
         return;
     evictIfFull(shard);
-    auto pos = shard.order.insert(shard.order.end(), key);
-    shard.entries.emplace(key, Slot{std::move(entry), pos});
+    insertLocked(shard, key, hash, std::move(entry));
 }
 
 std::uint64_t

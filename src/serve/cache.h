@@ -10,10 +10,15 @@
  * identical in-flight requests coalesce onto one compilation and
  * later identical requests are pure lookups.
  *
- * Keys are the canonical request text (see service.cc); the FNV
- * hash only picks the shard and avoids re-hashing the key string
- * per map probe — equality is always on the full key, so hash
- * collisions cannot alias two different requests.
+ * Keys are opaque byte strings (the service's are the compact
+ * request keys of service.cc). The caller hashes each key once and
+ * passes the 64-bit hash with it; the cache picks the shard and the
+ * map bucket from that hash and never re-hashes the key. Any hash
+ * works as long as one cache always sees the same function of the
+ * key (the service uses keyHash64; the FNV tests use fnv1a64).
+ * Equality is always on the full key, so hash collisions cannot
+ * alias two different requests. Each resident key is stored once,
+ * in its map node; the eviction order list points at the nodes.
  *
  * Capacity is enforced per shard with a pluggable eviction policy
  * (EvictPolicy) over *droppable* entries only — failed entries
@@ -51,8 +56,14 @@ namespace dms {
 
 struct CompileResult;
 
-/** FNV-1a over bytes; the shard/bucket hash of the result cache. */
+/** FNV-1a over bytes, one byte per step (reference vectors). */
 std::uint64_t fnv1a64(std::string_view s);
+
+/**
+ * The service's key hash: eight bytes per step, then a final
+ * avalanche. Not stable across byte orders; in-process use only.
+ */
+std::uint64_t keyHash64(std::string_view s);
 
 /** Which ready entry goes when a shard is over capacity. */
 enum class EvictPolicy : std::uint8_t {
@@ -120,9 +131,9 @@ class ResultCache
                 EvictPolicy policy = EvictPolicy::Fifo);
 
     /**
-     * Find or create the entry for @p key (@p hash must be
-     * fnv1a64(key)). @p entry is always filled on return. A Hit
-     * refreshes the entry's recency under the Lru policy.
+     * Find or create the entry for @p key, whose hash is @p hash
+     * (see the file comment). @p entry is always filled on return.
+     * A Hit refreshes the entry's recency under the Lru policy.
      */
     Lookup acquire(const std::string &key, std::uint64_t hash,
                    std::shared_ptr<CacheEntry> &entry);
@@ -174,17 +185,26 @@ class ResultCache
     EvictPolicy policy() const { return policy_; }
 
   private:
+    struct IdentityHash
+    {
+        size_t operator()(std::uint64_t h) const { return h; }
+    };
+
     struct Slot
     {
+        std::uint64_t hash = 0;
+        std::string key; ///< the one copy of the key
         std::shared_ptr<CacheEntry> entry;
-        /** This key's position in the shard's order list. */
-        std::list<std::string>::iterator pos;
+        /** This slot's position in the shard's order list. */
+        std::list<Slot *>::iterator pos;
     };
 
     struct Shard
     {
         mutable std::mutex mu;
-        std::unordered_map<std::string, Slot> entries;
+        /** Slots bucketed on the caller's hash, as given. */
+        std::unordered_multimap<std::uint64_t, Slot, IdentityHash>
+            entries;
         /**
          * Eviction scan order, front = first victim candidate.
          * Fifo: insertion order, untouched afterwards. Lru:
@@ -193,12 +213,18 @@ class ResultCache
          * ranks by CacheEntry::costMs and uses list position only
          * to break ties (older first).
          */
-        std::list<std::string> order;
+        std::list<Slot *> order;
     };
 
+    Shard &shardOf(std::uint64_t hash);
+    static Slot *findLocked(Shard &shard, const std::string &key,
+                            std::uint64_t hash);
+    static void insertLocked(Shard &shard, const std::string &key,
+                             std::uint64_t hash,
+                             std::shared_ptr<CacheEntry> entry);
     void touchLocked(Shard &shard, Slot &slot);
     void evictIfFull(Shard &shard);
-    void eraseLocked(Shard &shard, const std::string &key);
+    static void eraseLocked(Shard &shard, Slot *slot);
 
     std::vector<Shard> shards_;
     int perShardCap_;

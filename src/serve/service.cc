@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <deque>
 #include <mutex>
 #include <thread>
@@ -32,7 +33,8 @@ struct Job
     std::string key;
     std::uint64_t hash = 0;
     Loop loop;
-    MachineModel machine;
+    /** The interned machine; shared with every request naming it. */
+    std::shared_ptr<const MachineModel> machine;
     PipelineOptions options;
     /** Non-null when the request carried a deadline. */
     std::shared_ptr<CancelToken> cancel;
@@ -45,7 +47,8 @@ struct Job
     std::shared_ptr<obs::Trace> trace;
 
     Job(std::shared_ptr<CacheEntry> e, std::string k,
-        std::uint64_t h, Loop l, MachineModel m, PipelineOptions o,
+        std::uint64_t h, Loop l,
+        std::shared_ptr<const MachineModel> m, PipelineOptions o,
         std::shared_ptr<CancelToken> c)
         : entry(std::move(e)), key(std::move(k)), hash(h),
           loop(std::move(l)), machine(std::move(m)),
@@ -159,36 +162,164 @@ class JobQueue
     bool stopped_ = false;
 };
 
+/** Append @p write's output to @p key behind its 4-byte length. */
+template <typename Write>
+void
+appendPart(std::string &key, Write &&write)
+{
+    const size_t at = key.size();
+    key.append(4, '\0');
+    write();
+    const auto n = static_cast<std::uint32_t>(key.size() - at - 4);
+    std::memcpy(&key[at], &n, sizeof n);
+}
+
+void
+appendTextPart(std::string &key, std::string_view text)
+{
+    appendPart(key, [&] { key.append(text); });
+}
+
 /**
- * The option fields that select a compilation outcome, serialized
- * into the cache key. The MII hint fields (known*Mii) are excluded
- * on purpose: the pipeline overwrites them from its own MII stage,
- * so they cannot change the result. perf is forced on — LoopRun
- * needs it — and is therefore not part of the key either. The
- * analyze switch is likewise excluded: the audit is observational
- * (it panics rather than producing a different result), so analyzed
- * and plain requests must share one cache entry.
+ * The option fields that select a compilation outcome. The MII hint
+ * fields (known*Mii) are excluded on purpose: the pipeline
+ * overwrites them from its own MII stage, so they cannot change the
+ * result. perf is forced on — LoopRun needs it — and is therefore
+ * not part of the key either. The analyze switch is likewise
+ * excluded: the audit is observational (it panics rather than
+ * producing a different result), so analyzed and plain requests
+ * must share one cache entry.
  *
  * dms.speculateII is deliberately absent: the speculative and the
  * serial II ladder produce bit-identical artifacts, so requests
  * differing only in that knob must share one entry too.
  */
-std::string
-optionsKeyPart(const PipelineOptions &po)
+void
+appendOptionsPart(std::string &key, const PipelineOptions &po)
 {
-    return strfmt(
-        "sched=%s;unroll=%d;umax=%d;uops=%d;verify=%d;ra=%d;cg=%d;"
-        "b.budget=%d;b.maxii=%d;d.budget=%d;d.maxii=%d;"
-        "d.restarts=%d;d.chains=%d;d.rule=%d;d.s3=%d",
-        po.scheduler.c_str(), po.forceUnroll, po.unrollMaxFactor,
-        po.unrollMaxOps, po.verify ? 1 : 0, po.regalloc ? 1 : 0,
-        po.codegen ? 1 : 0, po.config.base.budgetRatio,
-        po.config.base.maxII, po.config.dms.budgetRatio,
-        po.config.dms.maxII, po.config.dms.restartsPerII,
+    const std::int32_t fields[] = {
+        po.forceUnroll,
+        po.unrollMaxFactor,
+        po.unrollMaxOps,
+        po.verify ? 1 : 0,
+        po.regalloc ? 1 : 0,
+        po.codegen ? 1 : 0,
+        po.config.base.budgetRatio,
+        po.config.base.maxII,
+        po.config.dms.budgetRatio,
+        po.config.dms.maxII,
+        po.config.dms.restartsPerII,
         po.config.dms.enableChains ? 1 : 0,
-        static_cast<int>(po.config.dms.chainRule),
-        static_cast<int>(po.config.dms.s3Policy));
+        static_cast<std::int32_t>(po.config.dms.chainRule),
+        static_cast<std::int32_t>(po.config.dms.s3Policy),
+    };
+    appendPart(key, [&] {
+        key.append(reinterpret_cast<const char *>(fields),
+                   sizeof fields);
+        key.append(po.scheduler);
+    });
 }
+
+} // namespace
+
+void
+appendRawRequestKey(std::string &key, const CompileRequest &request)
+{
+    appendTextPart(key, request.loopText);
+    appendTextPart(key, request.machineText);
+    appendOptionsPart(key, request.options);
+}
+
+void
+appendCanonicalRequestKey(std::string &key, const Loop &loop,
+                          std::string_view canonicalMachine,
+                          const PipelineOptions &options)
+{
+    appendPart(key, [&] { appendLoopKey(key, loop); });
+    appendTextPart(key, canonicalMachine);
+    appendOptionsPart(key, options);
+}
+
+namespace {
+
+/** A machine text parsed once for every request that spells it. */
+struct InternedMachine
+{
+    std::string raw; ///< the request's machine text
+    std::uint64_t rawHash = 0;
+    MachineModel machine = MachineModel::unclustered(1);
+    std::string canonical; ///< machineToText(machine)
+
+    /**
+     * Scheduler::supports answers asked so far, by scheduler name;
+     * guarded by the owning table's mutex.
+     */
+    std::vector<std::pair<std::string, bool>> supports;
+};
+
+/**
+ * The service's machine intern table: kSlots direct-mapped slots
+ * keyed by raw machine text. A load names only a few machines, so
+ * nearly every miss finds its machine parsed, printed and asked
+ * about its scheduler already. Only valid texts are interned; an
+ * invalid one is parsed (and rejected) every time.
+ */
+class MachineTable
+{
+  public:
+    static constexpr size_t kSlots = 64;
+
+    /** The interned machine of @p text, or null and @p error. */
+    std::shared_ptr<InternedMachine>
+    intern(const std::string &text, std::string &error)
+    {
+        const std::uint64_t hash = keyHash64(text);
+        std::shared_ptr<InternedMachine> &slot = slots_[hash % kSlots];
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            if (slot != nullptr && slot->rawHash == hash &&
+                slot->raw == text)
+                return slot;
+        }
+        auto m = std::make_shared<InternedMachine>();
+        if (!machineFromText(text, m->machine, error))
+            return nullptr;
+        m->raw = text;
+        m->rawHash = hash;
+        m->canonical = machineToText(m->machine);
+        std::lock_guard<std::mutex> lock(mu_);
+        slot = m;
+        return m;
+    }
+
+    /**
+     * Whether scheduler @p name supports @p m: 1 yes, 0 no, -1 for
+     * a name the registry does not know (not remembered, so a
+     * scheduler registered later is found).
+     */
+    int
+    supports(InternedMachine &m, const std::string &name)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            for (const auto &s : m.supports)
+                if (s.first == name)
+                    return s.second ? 1 : 0;
+        }
+        std::unique_ptr<Scheduler> sched =
+            SchedulerRegistry::instance().create(name);
+        if (sched == nullptr)
+            return -1;
+        const bool ok = sched->supports(m.machine);
+        std::lock_guard<std::mutex> lock(mu_);
+        m.supports.emplace_back(name, ok);
+        return ok ? 1 : 0;
+    }
+
+  private:
+    std::mutex mu_;
+    std::shared_ptr<InternedMachine> slots_[kSlots];
+};
 
 } // namespace
 
@@ -319,7 +450,7 @@ struct CompileService::Impl
             ctx.cancel = job.cancel.get();
             ctx.trace = tr;
             result->run =
-                runLoop(pipeline, job.loop, job.machine, ctx);
+                runLoop(pipeline, job.loop, *job.machine, ctx);
             ctx.trace = nullptr;
             ctx.cancel = nullptr;
             // ctx.result is this request's scheduler outcome only
@@ -334,7 +465,7 @@ struct CompileService::Impl
             if (result->ok && job.options.codegen) {
                 obs::ScopedSpan emit(tr, "codegen.emit");
                 result->kernelText = emitPipelinedCode(
-                    ctx.scheduledDdg(), job.machine, ctx.kernel,
+                    ctx.scheduledDdg(), *job.machine, ctx.kernel,
                     ctx.queuesValid ? &ctx.queues : nullptr);
             }
         } catch (const CancelledError &e) {
@@ -452,7 +583,8 @@ struct CompileService::Impl
     clearPoison(const std::string &key)
     {
         std::lock_guard<std::mutex> lock(poisonMu);
-        poison.erase(key);
+        if (!poison.empty())
+            poison.erase(key);
     }
 
     /**
@@ -464,6 +596,8 @@ struct CompileService::Impl
     quarantineReject(const std::string &key)
     {
         std::lock_guard<std::mutex> lock(poisonMu);
+        if (poison.empty())
+            return false;
         auto it = poison.find(key);
         if (it == poison.end() || !it->second.quarantined)
             return false;
@@ -480,7 +614,7 @@ struct CompileService::Impl
     ServeOptions opts;
     JobQueue queue;
 
-    /** The authoritative memo map, keyed on canonical text. */
+    /** The authoritative memo map, keyed on canonical keys. */
     ResultCache cache;
 
     /**
@@ -491,6 +625,8 @@ struct CompileService::Impl
      * never a second source of truth.
      */
     ResultCache aliases;
+
+    MachineTable machines;
 
     int workerCount;
     std::vector<std::thread> workers;
@@ -679,20 +815,19 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
     // If a submit-path fault fires after this request created the
     // cache entry, the entry must still be resolved and retired —
     // otherwise coalesced waiters hang on a future nobody owns.
+    // The canonical key lives out here for the same reason.
     std::shared_ptr<CacheEntry> owned;
-    std::string ownedKey;
-    std::uint64_t ownedHash = 0;
+    std::string key;
 
     try {
         // Fast path: a verbatim repeat of an earlier request
         // resolves through the raw-text alias map without
-        // re-parsing anything.
-        std::string raw_key = request.loopText;
-        raw_key += '\x01';
-        raw_key += request.machineText;
-        raw_key += '\x01';
-        raw_key += optionsKeyPart(request.options);
-        const std::uint64_t raw_hash = fnv1a64(raw_key);
+        // re-parsing anything. The key is built in a per-thread
+        // buffer; the alias map copies it only on insert.
+        thread_local std::string raw_key;
+        raw_key.clear();
+        appendRawRequestKey(raw_key, request);
+        const std::uint64_t raw_hash = keyHash64(raw_key);
         std::shared_ptr<CacheEntry> alias;
         {
             obs::ScopedSpan span(tr, "cache.lookup");
@@ -723,19 +858,22 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
                              std::move(why), Source::Invalid);
         };
 
-        // Canonicalize: parse both texts and re-serialize, so
-        // every spelling of the same request (comments,
-        // whitespace, id gaps) lands on the same cache key. The
-        // machine is parsed first: flow-edge latencies in the
-        // loop format come from a latency model at parse time,
-        // and the machine's (which machineToText round-trips,
-        // overrides included) is the one the request names — the
-        // direct pipeline sees the same edges as long as the loop
-        // was built against the same model.
+        // Canonicalize: parse the loop once and key it on its
+        // structure, so every spelling of the same request
+        // (comments, whitespace, id gaps) lands on the same cache
+        // key. The machine comes from the intern table, parsed
+        // first: flow-edge latencies in the loop format come from
+        // a latency model at parse time, and the machine's (which
+        // machineToText round-trips, overrides included) is the
+        // one the request names — the direct pipeline sees the
+        // same edges as long as the loop was built against the
+        // same model.
         std::string error;
-        MachineModel machine = MachineModel::unclustered(1);
-        if (!machineFromText(request.machineText, machine, error))
+        const std::shared_ptr<InternedMachine> interned =
+            machines.intern(request.machineText, error);
+        if (interned == nullptr)
             return reject(std::move(error));
+        const MachineModel &machine = interned->machine;
         Loop loop;
         if (!loopFromText(request.loopText, loop, error,
                           machine.latency()))
@@ -745,13 +883,13 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         if (options.scheduler.empty())
             options.scheduler =
                 machine.clustered() ? "dms" : "ims";
-        std::unique_ptr<Scheduler> sched =
-            SchedulerRegistry::instance().create(options.scheduler);
-        if (sched == nullptr) {
+        const int supported =
+            machines.supports(*interned, options.scheduler);
+        if (supported < 0) {
             return reject(strfmt("unknown scheduler '%s'",
                                  options.scheduler.c_str()));
         }
-        if (!sched->supports(machine)) {
+        if (supported == 0) {
             return reject(strfmt(
                 "scheduler '%s' does not support machine '%s'",
                 options.scheduler.c_str(),
@@ -766,12 +904,12 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
         // entry.
         options.perf = true;
 
-        std::string key = loopToText(loop);
-        key += '\x01';
-        key += machineToText(machine);
-        key += '\x01';
-        key += optionsKeyPart(options);
-        ticket.key = fnv1a64(key);
+        key.reserve(64 + interned->canonical.size() +
+                    8 * static_cast<size_t>(loop.ddg.numOps() +
+                                            loop.ddg.numEdges()));
+        appendCanonicalRequestKey(key, loop, interned->canonical,
+                                  options);
+        ticket.key = keyHash64(key);
 
         if (quarantineReject(key)) {
             quarantined.inc();
@@ -789,11 +927,8 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             obs::ScopedSpan span(tr, "cache.insert");
             found = cache.acquire(key, ticket.key, entry);
             ticket.future = entry->future;
-            if (found == ResultCache::Lookup::Inserted) {
+            if (found == ResultCache::Lookup::Inserted)
                 owned = entry;
-                ownedKey = key;
-                ownedHash = ticket.key;
-            }
             faultPoint("serve.cache.insert");
             aliases.insertAlias(raw_key, raw_hash, entry);
         }
@@ -820,11 +955,6 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
                 std::chrono::milliseconds(request.deadlineMs));
             ticket.cancel = cancel;
         }
-        std::unique_ptr<Job> job(
-            new Job(entry, key, ticket.key, std::move(loop),
-                    std::move(machine), std::move(options),
-                    std::move(cancel)));
-
         {
             // The span closes before the handoff below: once the
             // job is in the queue a worker may own the trace, so
@@ -832,6 +962,11 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             obs::ScopedSpan span(tr, "queue.push");
             faultPoint("serve.queue.push");
         }
+        // Past the last fault point: the job takes the key.
+        std::unique_ptr<Job> job(new Job(
+            entry, std::move(key), ticket.key, std::move(loop),
+            std::shared_ptr<const MachineModel>(interned, &machine),
+            std::move(options), std::move(cancel)));
         job->trace = std::move(commit.trace);
         bool pushed = true;
         if (shedding)
@@ -854,7 +989,7 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             result->error = strfmt(
                 "queue full (%d deep): request shed after %d ms",
                 opts.queueDepth, std::max(shedWaitMs, 0));
-            finishCompile(entry, key, ticket.key,
+            finishCompile(entry, job->key, ticket.key,
                           std::move(result));
             ticket.source = Source::Rejected;
             return ticket;
@@ -872,7 +1007,7 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             result->parsed = true;
             result->error = e.what();
             result->failSite = e.site();
-            finishCompile(owned, ownedKey, ownedHash,
+            finishCompile(owned, key, ticket.key,
                           std::move(result));
             ticket.future = owned->future;
             ticket.source = Source::Failed;
@@ -889,7 +1024,7 @@ CompileService::Impl::submitImpl(const CompileRequest &request,
             result->status = CompileStatus::Expired;
             result->parsed = true;
             result->error = e.what();
-            finishCompile(owned, ownedKey, ownedHash,
+            finishCompile(owned, key, ticket.key,
                           std::move(result));
             ticket.future = owned->future;
             ticket.source = Source::Expired;

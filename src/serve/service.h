@@ -15,12 +15,14 @@
  *     scheduler worklists, reservation tables) are reused across
  *     requests exactly like the evaluation runner reuses them
  *     across matrix cells.
- *   - Results are memoized in a sharded cache keyed by the FNV hash
- *     of the canonical request text (loopToText/machineToText
- *     round-trips plus the option fields). Identical in-flight
- *     requests coalesce onto one compilation (single-flight);
- *     identical later requests are pure lookups returning the
- *     bit-identical cached result.
+ *   - Results are memoized in a sharded cache keyed by the
+ *     canonical request key (appendCanonicalRequestKey: the parsed
+ *     loop's binary key form, the interned machine's canonical
+ *     text and the option fields). Identical in-flight requests
+ *     coalesce onto one compilation (single-flight); identical
+ *     later requests are pure lookups returning the bit-identical
+ *     cached result. A verbatim repeat resolves earlier, through
+ *     an alias map keyed on the raw texts.
  *
  * The service is the unit the ROADMAP's "serve-style batching"
  * item asked for: the evaluation runner can route whole sweeps
@@ -32,6 +34,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/pipeline.h"
 #include "eval/runner.h"
@@ -270,11 +273,11 @@ class CompileService
         Source source = Source::Miss;
 
         /**
-         * FNV hash of the cache key that resolved this request —
+         * keyHash64 of the cache key that resolved this request —
          * the canonical key, or the raw-spelling alias key on the
-         * fast path. A diagnostic for logs, not a correlation id:
-         * two spellings of one request can carry different
-         * hashes (0 for Invalid).
+         * fast path (see appendRawRequestKey). A diagnostic for
+         * logs, not a correlation id: two spellings of one request
+         * can carry different hashes (0 for Invalid).
          */
         std::uint64_t key = 0;
 
@@ -345,6 +348,37 @@ class CompileService
     std::unique_ptr<Impl> impl_;
     ServeOptions opts_;
 };
+
+/**
+ * @name Request keys
+ * Both keys are a sequence of length-prefixed parts (a 4-byte
+ * length, then the bytes), so no byte a text may carry — comments
+ * can hold anything — can move from one part into the next:
+ *
+ *   raw:       loop text | machine text      | options record
+ *   canonical: loop key  | canonical machine | options record
+ *
+ * The loop key is appendLoopKey's form of the parsed loop, the
+ * canonical machine is machineToText of the parsed machine, and the
+ * options record holds the outcome-selecting option fields as
+ * fixed-width integers, then the scheduler name. Two valid
+ * requests share a canonical key exactly when they share canonical
+ * loop text, canonical machine text and those option fields.
+ */
+/// @{
+
+/** Append the raw alias key of @p request (texts as sent). */
+void appendRawRequestKey(std::string &key,
+                         const CompileRequest &request);
+
+/**
+ * Append the canonical key of a parsed request; @p options has its
+ * scheduler name resolved.
+ */
+void appendCanonicalRequestKey(std::string &key, const Loop &loop,
+                               std::string_view canonicalMachine,
+                               const PipelineOptions &options);
+/// @}
 
 /**
  * Build the canonical service request for one (loop, machine,

@@ -1,10 +1,11 @@
 #include "workload/text.h"
 
 #include <algorithm>
+#include <cstring>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/scc.h"
@@ -112,15 +113,53 @@ parseLoop(Line &l, Loop &out)
     return true;
 }
 
+/**
+ * File op id -> graph id: a flat table for ids below its size (set
+ * from the pre-scan's op count, so dense and gapped numberings fit)
+ * and a map for the rest.
+ */
+struct FileIds
+{
+    std::vector<OpId> flat;
+    std::unordered_map<int, OpId> sparse;
+
+    /** Empty the table for a text with @p op_lines op lines. */
+    void
+    reset(int op_lines)
+    {
+        flat.assign(8 * static_cast<size_t>(op_lines) + 256, kInvalidOp);
+        sparse.clear();
+    }
+
+    /** The graph id of file id @p fid, or kInvalidOp. */
+    OpId
+    find(int fid) const
+    {
+        if (static_cast<size_t>(fid) < flat.size())
+            return flat[static_cast<size_t>(fid)];
+        const auto it = sparse.find(fid);
+        return it == sparse.end() ? kInvalidOp : it->second;
+    }
+
+    void
+    insert(int fid, OpId id)
+    {
+        if (static_cast<size_t>(fid) < flat.size())
+            flat[static_cast<size_t>(fid)] = id;
+        else
+            sparse.emplace(fid, id);
+    }
+};
+
 bool
-parseOp(Line &l, Loop &out, std::map<int, OpId> &ids)
+parseOp(Line &l, Loop &out, FileIds &ids)
 {
     if (l.f.size() < 3)
         return l.fail("op needs id and opcode");
     int fid = 0;
     if (!parseInt(l.f[1], fid))
         return l.fail("bad op id");
-    if (ids.count(fid))
+    if (ids.find(fid) != kInvalidOp)
         return l.fail("duplicate op id %d", fid);
     int opc = 0;
     while (opc < kNumOpcodes &&
@@ -139,12 +178,12 @@ parseOp(Line &l, Loop &out, std::map<int, OpId> &ids)
     out.ddg.op(id).memStream = stream;
     out.ddg.op(id).memOffset = offset;
     out.ddg.op(id).literal = literal;
-    ids[fid] = id;
+    ids.insert(fid, id);
     return true;
 }
 
 bool
-parseEdge(Line &l, Loop &out, const std::map<int, OpId> &ids,
+parseEdge(Line &l, Loop &out, const FileIds &ids,
           const LatencyModel &lat)
 {
     if (l.f.size() < 4)
@@ -153,9 +192,9 @@ parseEdge(Line &l, Loop &out, const std::map<int, OpId> &ids,
     int dst = 0;
     if (!parseInt(l.f[1], src) || !parseInt(l.f[2], dst))
         return l.fail("bad edge endpoints");
-    const auto s = ids.find(src);
-    const auto d = ids.find(dst);
-    if (s == ids.end() || d == ids.end())
+    const OpId s = ids.find(src);
+    const OpId d = ids.find(dst);
+    if (s == kInvalidOp || d == kInvalidOp)
         return l.fail("edge references unknown op");
     DepKind kind = DepKind::Flow;
     while (l.f[3] != depKindName(kind)) {
@@ -171,7 +210,7 @@ parseEdge(Line &l, Loop &out, const std::map<int, OpId> &ids,
         int latency = 0;
         if (!l.intAttr("lat", kind == DepKind::Anti ? 0 : 1, latency))
             return false;
-        out.ddg.addEdge(s->second, d->second, kind, dist, latency);
+        out.ddg.addEdge(s, d, kind, dist, latency);
         return true;
     }
     int slot = 0;
@@ -179,13 +218,36 @@ parseEdge(Line &l, Loop &out, const std::map<int, OpId> &ids,
         return false;
     if (slot != 0 && slot != 1)
         return l.fail("flow slot must be 0 or 1 (got %d)", slot);
-    const Opcode opc = out.ddg.op(s->second).opc;
+    const Opcode opc = out.ddg.op(s).opc;
     if (!producesValue(opc))
         return l.fail("flow edge from op %d, which produces no value",
                       src);
-    out.ddg.addEdge(s->second, d->second, kind, dist, lat.of(opc),
-                    slot);
+    out.ddg.addEdge(s, d, kind, dist, lat.of(opc), slot);
     return true;
+}
+
+/**
+ * Call @p fn on every line of @p text, trimmed; the last line may
+ * lack its newline. Stops when @p fn returns false.
+ */
+template <typename Fn>
+void
+forEachLine(std::string_view text, Fn &&fn)
+{
+    for (size_t pos = 0; pos <= text.size();) {
+        const size_t nl = std::min(text.find('\n', pos), text.size());
+        if (!fn(trimView(text.substr(pos, nl - pos))))
+            return;
+        pos = nl + 1;
+    }
+}
+
+/** True when @p line's first field is @p word. */
+bool
+startsWithField(std::string_view line, std::string_view word)
+{
+    return line.substr(0, word.size()) == word &&
+           (line.size() == word.size() || line[word.size()] == ' ');
 }
 
 } // namespace
@@ -235,22 +297,101 @@ loopToText(const Loop &loop)
     return out;
 }
 
+namespace {
+
+/** LEB128: seven bits a byte, low first; prefix-free. */
+void
+appendVarint(std::string &out, std::uint64_t v)
+{
+    for (; v >= 0x80; v >>= 7)
+        out += static_cast<char>((v & 0x7f) | 0x80);
+    out += static_cast<char>(v);
+}
+
+/** Zig-zag a signed value so small magnitudes stay one byte. */
+void
+appendSignedVarint(std::string &out, std::int64_t v)
+{
+    appendVarint(out, (static_cast<std::uint64_t>(v) << 1) ^
+                          static_cast<std::uint64_t>(v >> 63));
+}
+
+} // namespace
+
+void
+appendLoopKey(std::string &out, const Loop &loop)
+{
+    const Ddg &g = loop.ddg;
+    const size_t name_len = std::strlen(loop.name.c_str());
+    appendVarint(out, name_len);
+    out.append(loop.name.data(), name_len);
+    appendSignedVarint(out, loop.tripCount);
+    // Dense ids, as loopToText numbers them.
+    thread_local std::vector<int> dense;
+    dense.assign(static_cast<size_t>(g.numOps()), -1);
+    int next = 0;
+    for (OpId id = 0; id < g.numOps(); ++id)
+        if (g.opLive(id))
+            dense[static_cast<size_t>(id)] = next++;
+    appendVarint(out, static_cast<std::uint64_t>(g.liveOpCount()));
+    for (OpId id = 0; id < g.numOps(); ++id) {
+        if (!g.opLive(id))
+            continue;
+        const Operation &o = g.op(id);
+        out += static_cast<char>(o.opc);
+        appendVarint(out, static_cast<std::uint64_t>(
+                              std::max<std::int64_t>(o.memStream, -1) + 1));
+        appendSignedVarint(out, o.memOffset);
+        if (o.opc == Opcode::Const)
+            appendSignedVarint(out, o.literal);
+    }
+    int live_edges = 0;
+    for (EdgeId e = 0; e < g.numEdges(); ++e)
+        live_edges += g.edgeLive(e) ? 1 : 0;
+    appendVarint(out, static_cast<std::uint64_t>(live_edges));
+    for (EdgeId e = 0; e < g.numEdges(); ++e) {
+        if (!g.edgeLive(e))
+            continue;
+        const Edge &ed = g.edge(e);
+        appendSignedVarint(out, dense[static_cast<size_t>(ed.src)]);
+        appendSignedVarint(out, dense[static_cast<size_t>(ed.dst)]);
+        out += static_cast<char>(ed.kind);
+        appendSignedVarint(out, ed.distance);
+        appendSignedVarint(out, ed.kind == DepKind::Flow
+                                    ? ed.operandIndex
+                                    : ed.latency);
+    }
+}
+
 bool
 loopFromText(const std::string &text, Loop &out, std::string &error,
              const LatencyModel &lat)
 {
+    // Count the op and edge lines first so the graph's arrays are
+    // allocated once, at their final size.
+    int op_lines = 0;
+    int edge_lines = 0;
+    forEachLine(text, [&](std::string_view line) {
+        op_lines += startsWithField(line, "op") ? 1 : 0;
+        edge_lines += startsWithField(line, "edge") ? 1 : 0;
+        return true;
+    });
     out = Loop();
     out.name = "unnamed";
-    std::map<int, OpId> ids; // file id -> ddg id
-    Line l;
-    const std::string_view all(text);
-    for (size_t pos = 0; pos <= all.size() && l.error.empty();) {
-        const size_t nl = std::min(all.find('\n', pos), all.size());
+    out.ddg.reserve(op_lines, edge_lines);
+
+    // The line buffers and the id table are reused by every parse
+    // on this thread.
+    thread_local Line l;
+    thread_local FileIds ids;
+    l.no = 0;
+    l.error.clear();
+    ids.reset(op_lines);
+    forEachLine(text, [&](std::string_view line) {
         ++l.no;
-        l.split(trimView(all.substr(pos, nl - pos)));
-        pos = nl + 1;
+        l.split(line);
         if (l.f.empty() || l.f[0][0] == '#')
-            continue;
+            return true;
         const std::string_view directive = l.f[0];
         if (directive == "loop") {
             parseLoop(l, out);
@@ -261,10 +402,12 @@ loopFromText(const std::string &text, Loop &out, std::string &error,
         } else {
             l.fail("unknown directive '%s'", l.quoted(0).c_str());
         }
-    }
+        return l.error.empty();
+    });
 
     if (!l.error.empty()) {
         error = std::move(l.error);
+        l.error.clear();
         return false;
     }
     auto problems = verifyDdg(out.ddg);

@@ -41,6 +41,17 @@ namespace dms {
 std::string loopToText(const Loop &loop);
 
 /**
+ * Append @p loop's cache-key form to @p out: a compact binary
+ * encoding (varints) of exactly the fields loopToText prints, under
+ * its rules — the name up to its first NUL, live ops renumbered
+ * densely, stream only when >= 0, offset only when != 0, lit only on
+ * Const, live edges in id order with slot on flow edges and lat on
+ * the others. Two loops get the same key form exactly when they
+ * print the same canonical text. The form is self-delimiting.
+ */
+void appendLoopKey(std::string &out, const Loop &loop);
+
+/**
  * Parse the textual format into @p out. Returns false and fills
  * @p error (prefixed "line N: " where applicable) on malformed
  * input; @p out is unspecified then. Flow-edge latencies are taken

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <new>
 #include <utility>
@@ -22,7 +23,9 @@
 #include "ir/unroll.h"
 #include "sched/mii.h"
 #include "sched/verifier.h"
+#include "serve/loadgen.h"
 #include "workload/kernels.h"
+#include "workload/text.h"
 
 namespace {
 
@@ -210,6 +213,47 @@ TEST(AllocBudget, ReusedDmsScheduleStageAllocatesAHandful)
     EXPECT_EQ(ctx.result.sched.ii, ii);
     EXPECT_EQ(ctx.result.sched.budgetUsed, used);
     EXPECT_LE(allocations, 2);
+}
+
+TEST(AllocBudget, LoopParseAllocatesOnlyTheArrays)
+{
+    // The cold corpus (the loads' unique loops), each parsed into a
+    // fresh Loop: the op and edge arrays, sized by the pre-scan, and
+    // nothing per line or per op. The line buffers, the file-id
+    // table and the verifier's block are per-thread scratch, grown
+    // to the largest input by the first pass.
+    const MachineModel machine = MachineModel::clusteredRing(4);
+    std::vector<std::string> texts;
+    for (int i = 0; i < 1500; ++i)
+        texts.push_back(coldLoopText(3, i));
+    std::string error;
+    for (const std::string &text : texts) {
+        Loop loop;
+        ASSERT_TRUE(
+            loopFromText(text, loop, error, machine.latency()));
+    }
+    long spilled = 0;
+    for (const std::string &text : texts) {
+        Loop loop;
+        bool ok = false;
+        const long n = allocationsDuring([&] {
+            ok = loopFromText(text, loop, error, machine.latency());
+        });
+        ASSERT_TRUE(ok) << error;
+        // An op with more than EdgeList::kInline edges on one side
+        // moves that list to the heap, once per doubling.
+        long spills = 0;
+        for (OpId id = 0; id < loop.ddg.numOps(); ++id) {
+            const Operation &o = loop.ddg.op(id);
+            for (const EdgeList *l : {&o.ins, &o.outs})
+                for (size_t cap = EdgeList::kInline; cap < l->size();
+                     cap *= 2)
+                    ++spills;
+        }
+        EXPECT_LE(n, 2 + spills) << loop.name;
+        spilled += spills;
+    }
+    EXPECT_GT(spilled, 0); // the corpus does exercise the spills
 }
 
 } // namespace
